@@ -339,6 +339,15 @@ def _as_int_list(v, what):
     return [int(x) for x in v]
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise FormatError(f"duplicate key {key!r} in certificate")
+        doc[key] = val
+    return doc
+
+
 def certificate_from_json(text: str):
     """Parse a certificate document.
 
@@ -346,7 +355,7 @@ def certificate_from_json(text: str):
     verifier's job.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -371,6 +380,9 @@ def certificate_from_json(text: str):
                 a, b = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise FormatError(f"bad path key {key!r}") from exc
+            if key != f"{a},{b}":
+                # "00,1" or " 0,1" would name the same pair as "0,1".
+                raise FormatError(f"bad path key {key!r}: expected '{a},{b}'")
             paths[(a, b)] = tuple(_as_int_list(val, f"paths[{key}]"))
         return WcCertificate(n, lam, X, palette, paths)
     raw = doc.get("E")
@@ -381,5 +393,7 @@ def certificate_from_json(text: str):
         pair = _as_int_list(item, "E entry")
         if len(pair) != 2:
             raise FormatError(f"bad edge {item!r}: expected [a, b]")
+        if (pair[0], pair[1]) in edges:
+            raise FormatError(f"duplicate edge {item!r}")
         edges.add((pair[0], pair[1]))
     return HcCertificate(n, lam, X, palette, frozenset(edges), _as_int(doc, "j"))

@@ -1,7 +1,7 @@
 """Relation deciders, canonical enumeration, and threshold search."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from connramsey import (
     permute_colors,
     ramsey_number,
 )
+from connramsey.arrows import _extend_levels, _maximal_palettes, _satisfies, _scan_levels
 from connramsey.core import Coloring
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import has_monochromatic_m_set
@@ -255,3 +256,79 @@ def test_decide_dispatch():
     assert decide(c, RelationQuery("classical", 3, 1)).holds
     assert decide(c, RelationQuery("hc", 3, 1, j=2)).holds
     assert decide(c, RelationQuery("wc", 3, 1)).holds
+
+
+# Every relation the threshold-search tests below range over, as
+# (mode, m, j) with hc at every j <= m.
+RELATIONS = [
+    (mode, m, j)
+    for m in (2, 3, 4)
+    for mode, js in (("classical", [None]), ("hc", range(1, m + 1)), ("wc", [None]))
+    for j in js
+]
+
+
+def drain(search):
+    """Run one side of the threshold race alone and return its result."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
+def fails(c, query):
+    return c.n < query.m or not decide(c, query).holds
+
+
+def top_extensions(c):
+    """Every coloring on c.n + 1 vertices whose restriction to 0..c.n-1 is c."""
+    n = c.n + 1
+    for top in product(range(c.lam), repeat=c.n):
+        yield Coloring(
+            n, c.lam,
+            tuple(top[a] if b == n - 1 else c.color(a, b) for a, b in combinations(range(n), 2)),
+        )
+
+
+@pytest.mark.parametrize("lam", (1, 2, 3))
+def test_race_sides_agree_with_ramsey_number(lam):
+    for mode, m, j in RELATIONS:
+        for kappa in (1, 2):
+            query = RelationQuery(mode, m, kappa, j)
+            palettes = _maximal_palettes(lam, kappa)
+            for n_max in range(m, 6):
+                want = ramsey_number(mode, m, lam, kappa, n_max, j=j)
+                assert drain(_scan_levels(query, lam, n_max, palettes)) == want
+                assert drain(_extend_levels(query, lam, n_max, palettes)) == want
+
+
+def test_extension_side_finishes_an_exhausted_search():
+    # hc m=4 j=3 still fails on 5 vertices; the extension search must
+    # report the same least failing coloring as the scanner.
+    query = RelationQuery("hc", 4, 1, 3)
+    palettes = _maximal_palettes(2, 1)
+    res = drain(_extend_levels(query, 2, 5, palettes))
+    assert res.threshold is None and res.extremal.n == 5
+    assert res == drain(_scan_levels(query, 2, 5, palettes))
+    assert res.extremal == next(
+        c for c in enumerate_colorings_canonical(5, 2) if not decide(c, query).holds
+    )
+
+
+@pytest.mark.parametrize("lam", (1, 2, 3))
+def test_verdict_helper_agrees_with_decide(lam):
+    for kappa in (1, 2):
+        palettes = _maximal_palettes(lam, kappa)
+        for mode, m, j in RELATIONS:
+            query = RelationQuery(mode, m, kappa, j)
+            for n in range(2, 6):
+                for c in enumerate_colorings_canonical(n, lam):
+                    if n >= m:
+                        assert _satisfies(c, query, palettes) == decide(c, query).holds
+                    if m - 1 <= n < 5 and fails(c, query):
+                        for ext in top_extensions(c):
+                            assert (
+                                _satisfies(ext, query, palettes, top=True)
+                                == decide(ext, query).holds
+                            )

@@ -154,6 +154,25 @@ def test_verify_exit_2_on_parse_failure(tmp_path, delta_file, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "cert",
+    [
+        '{"kind": "wc", "n": 4, "lambda": 2, "X": [0, 1], "Lambda": [0],'
+        ' "paths": {"0,1": [0, 2, 1], "00,1": [0, 1]}}',
+        '{"kind": "hc", "n": 4, "lambda": 2, "X": [0, 2], "Lambda": [0],'
+        ' "E": [[0, 2], [0, 2]], "j": 1}',
+    ],
+    ids=["wc-path-key-spellings", "hc-duplicate-edge"],
+)
+def test_verify_exit_2_on_malformed_certificate(tmp_path, delta_file, capsys, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(cert)
+    code, stdout, err = run(capsys, "verify", str(path), delta_file)
+    assert code == 2
+    assert stdout == ""
+    assert "error" in err
+
+
 def test_ramsey_payload(capsys):
     code, stdout, _ = run(
         capsys,
@@ -200,6 +219,20 @@ def test_ramsey_wc_deterministic_output(capsys):
     assert payload["threshold"] is not None and payload["threshold"] <= 6
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_ramsey_many_vertices_one_color(capsys):
+    # 1035 pair slots: far deeper than the interpreter's recursion limit
+    code, stdout, _ = run(
+        capsys,
+        "ramsey",
+        "--mode", "classical", "--m", "46", "--colors", "1", "--palette-size", "1",
+        "--max-n", "46",
+    )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["threshold"] == 46
+    assert read_coloring(payload["extremal"]).n == 45
 
 
 def test_ramsey_time_limit_exit_2(capsys):

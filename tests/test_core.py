@@ -240,3 +240,23 @@ def test_certificate_json_rejects_garbage():
         certificate_from_json('{"kind": "xx"}')
     with pytest.raises(FormatError, match="paths"):
         certificate_from_json('{"kind": "wc", "n": 2, "lambda": 1, "X": [0, 1], "Lambda": [0]}')
+
+
+def test_certificate_json_rejects_colliding_path_keys():
+    head = '{"kind": "wc", "n": 3, "lambda": 1, "X": [0, 1], "Lambda": [0], "paths": '
+    for paths in (
+        '{"0,1": [0, 1], "00,1": [0, 2, 1]}',  # two spellings of one pair
+        '{"0, 1": [0, 1]}',
+        '{"+0,1": [0, 1]}',
+    ):
+        with pytest.raises(FormatError, match="path key"):
+            certificate_from_json(head + paths + "}")
+    with pytest.raises(FormatError, match="duplicate key"):
+        certificate_from_json(head + '{"0,1": [0, 1], "0,1": [0, 2, 1]}}')
+
+
+def test_certificate_json_rejects_duplicate_edges():
+    doc = '{"kind": "hc", "n": 2, "lambda": 1, "X": [0, 1], "Lambda": [0], "j": 1, "E": %s}'
+    with pytest.raises(FormatError, match="duplicate edge"):
+        certificate_from_json(doc % "[[0, 1], [0, 1]]")
+    assert certificate_from_json(doc % "[[0, 1]]").E == frozenset({(0, 1)})
