@@ -38,6 +38,7 @@ the palette.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -405,14 +406,17 @@ def ramsey_number(
     Races the scanner against the one-vertex extension search (see the
     module docstring); both return the same result, whose failing
     coloring is the lexicographically least canonical one at its level.
-    A time_limit (seconds) raises ResourceCapExceeded when exhausted;
-    running past n_max is not an error but a threshold of None.
+    A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
+    NaN one raises ValueError, and inf runs unbounded.  Running past
+    n_max is not an error but a threshold of None.
     """
     query = RelationQuery(mode, m, kappa, j if mode == "hc" else None)
     if lam < 1:
         raise ValueError("need lam >= 1")
     if n_max < m:
         raise ValueError(f"need n_max >= m, got n_max={n_max}, m={m}")
+    if time_limit is not None and math.isnan(time_limit):
+        raise ValueError("time_limit must be a number of seconds, got nan")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     palettes = _maximal_palettes(lam, kappa)
     sides = (

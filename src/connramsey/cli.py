@@ -10,6 +10,7 @@ to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -18,7 +19,6 @@ from .arrows import ResourceCapExceeded, decide, ramsey_number
 from .connectivity import Graph, kappa_connected_bruteforce, kappa_connected_fast, read_graph
 from .core import (
     Coloring,
-    FormatError,
     HcCertificate,
     Palette,
     RelationQuery,
@@ -209,7 +209,14 @@ def cmd_check_wc(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    Parsing leaves no state on the parser: each parse fills a fresh
+    namespace from the declared defaults, and help width is read from the
+    terminal when the help is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="connramsey",
         description="Decide and certify finite highly/well-connected partition relations.",
@@ -285,16 +292,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ResourceCapExceeded, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -358,6 +358,8 @@ def certificate_from_json(text: str):
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("certificate JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError("certificate document must be a JSON object")
     kind = doc.get("kind")

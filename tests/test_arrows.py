@@ -244,6 +244,15 @@ def test_ramsey_time_budget():
         ramsey_number("classical", 3, 2, 1, 6, time_limit=0.0)
 
 
+def test_ramsey_time_limit_nan_negative_inf():
+    # monotonic() > nan is never true, so a NaN budget would never expire
+    with pytest.raises(ValueError, match="nan"):
+        ramsey_number("classical", 3, 2, 1, 6, time_limit=float("nan"))
+    with pytest.raises(ResourceCapExceeded, match="before the first step"):
+        ramsey_number("classical", 3, 2, 1, 6, time_limit=-1.0)
+    assert ramsey_number("classical", 3, 2, 1, 6, time_limit=float("inf")).threshold == 6
+
+
 def test_ramsey_parameter_validation():
     with pytest.raises(ValueError):
         ramsey_number("classical", 3, 2, 1, 2)

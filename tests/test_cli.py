@@ -1,8 +1,15 @@
 """CLI surface: exit codes, JSON payloads, determinism, verifier."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import connramsey
 
 from connramsey import (
     Palette,
@@ -161,8 +168,9 @@ def test_verify_exit_2_on_parse_failure(tmp_path, delta_file, capsys):
         ' "paths": {"0,1": [0, 2, 1], "00,1": [0, 1]}}',
         '{"kind": "hc", "n": 4, "lambda": 2, "X": [0, 2], "Lambda": [0],'
         ' "E": [[0, 2], [0, 2]], "j": 1}',
+        "[" * 100000,
     ],
-    ids=["wc-path-key-spellings", "hc-duplicate-edge"],
+    ids=["wc-path-key-spellings", "hc-duplicate-edge", "deeply-nested"],
 )
 def test_verify_exit_2_on_malformed_certificate(tmp_path, delta_file, capsys, cert):
     path = tmp_path / "cert.json"
@@ -246,6 +254,18 @@ def test_ramsey_time_limit_exit_2(capsys):
     assert "time budget" in err
 
 
+def test_ramsey_time_limit_nan_exit_2(capsys):
+    code, stdout, err = run(
+        capsys,
+        "ramsey",
+        "--mode", "classical", "--m", "3", "--colors", "2", "--palette-size", "1",
+        "--max-n", "6", "--time-limit", "nan",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "nan" in err
+
+
 def test_check_conn(tmp_path, capsys):
     g = make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     path = tmp_path / "g.graph"
@@ -285,3 +305,69 @@ def test_verifier_independent_of_decider(tmp_path, capsys):
     cert = is_wc_set(c, range(6), Palette(frozenset({0, 1})))
     assert cert is not None  # full palette relates every pair directly
     assert verify_certificate(cert, c) is None
+
+
+def test_parser_built_once_and_reused(tmp_path, delta_file, capsys, monkeypatch):
+    graph = tmp_path / "g.graph"
+    graph.write_text(write_graph(make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])))
+    cert = tmp_path / "cert.json"
+    calls = [
+        ("gen", "delta", "--len", "2", "--out", str(tmp_path / "d.col")),
+        ("decide", delta_file, "--mode", "wc", "--m", "3", "--palette-size", "1"),
+        ("decide", delta_file, "--mode", "hc", "--m", "4", "--palette-size", "1", "--j", "2"),
+        ("decide", delta_file, "--mode", "hc", "--m", "4", "--palette-size", "1"),
+        ("ramsey", "--mode", "wc", "--m", "3", "--colors", "2", "--palette-size", "1",
+         "--max-n", "6"),
+        ("verify", str(cert), delta_file),
+        ("check-conn", str(graph), "--kappa", "2"),
+        ("check-wc", delta_file, "--set", "0,1,2", "--palette", "0"),
+        ("decide", delta_file, "--mode", "nope", "--m", "3", "--palette-size", "1"),
+        ("--help",),
+    ]
+    code, stdout, _ = run(capsys, *calls[1])  # warm-up: builds the parser
+    assert code == 0
+    cert.write_text(stdout)
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = [run(capsys, *argv) for argv in calls]
+    second = [run(capsys, *argv) for argv in calls]
+    assert built == []
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 0, 0, 1, 0, 0, 0, 0, 2, 0]
+
+
+def fresh_process(argv, **env):
+    """Run the CLI in a new interpreter: its parser is built for this call alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent), **env)
+    done = subprocess.run(
+        [sys.executable, "-m", "connramsey.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("columns", ["50", "120"])
+def test_shared_parser_help_reads_terminal_width(capsys, monkeypatch, columns):
+    main(["--help"])  # built, and help printed, at another width
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in (["--help"], ["decide", "--help"]):
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == fresh_process(argv, COLUMNS=columns)
+
+
+def test_j_default_does_not_leak_between_calls(delta_file, capsys):
+    # decide --mode hc without --j asks for j = m, whatever an earlier call set
+    args = ["decide", delta_file, "--mode", "hc", "--m", "4", "--palette-size", "1"]
+    code, _, _ = run(capsys, *args, "--j", "2")
+    assert code == 0
+    code, stdout, _ = run(capsys, *args)
+    assert (code, stdout) == fresh_process(args)
+    assert code == 1
