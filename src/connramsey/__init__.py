@@ -62,6 +62,16 @@ from .ordinals import (
     sample_universe,
 )
 from .wellconn import WcOrder, is_wc_set, longest_wc_set, tree_check, wc_order, wc_pair
-from .cli import verify_certificate
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The verifier lives in the CLI module.  Importing it lazily keeps
+    # `python -m connramsey.cli` from finding that module already loaded
+    # by the package, which makes runpy warn on every run.
+    if name == "verify_certificate":
+        from .cli import verify_certificate
+
+        return verify_certificate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

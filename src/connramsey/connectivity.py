@@ -13,14 +13,19 @@ The fast decision procedure rests on the equivalence
                           vertices, and every non-adjacent pair has
                           minimum vertex cut >= kappa
 
-realized with unit-capacity flow on the vertex-split graph.  The
-brute-force enumerator keeps the removal definition literal and serves as
-the oracle the fast path is tested against.
+and on Even's reduction of its last clause (Even, SIAM J. Comput. 4,
+1975): a cut S with |S| < kappa misses one of any kappa vertices, and S
+separates that vertex from some non-neighbor.  So only the pairs (s, t)
+with s among the first kappa vertices and t a non-neighbor of s need a
+flow, O(kappa * n) of them instead of O(n^2).  Each is unit-capacity
+flow on the vertex-split graph, whose residual arcs are read from
+bitmasks of the current flow rather than stored.  The brute-force
+enumerator keeps the removal definition literal and serves as the oracle
+the fast path is tested against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -181,40 +186,82 @@ def _bits(mask: int):
 def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
     """At least k internally disjoint s-t paths (s, t non-adjacent).
 
-    Unit-capacity flow on the vertex-split graph: node 2v is the entry of
-    v, node 2v+1 its exit; every arc has capacity one, which suffices
-    because flow through any edge is throttled by its endpoints.
+    Unit-capacity flow on the vertex-split graph: each v has an entry
+    v_in and an exit v_out joined by the split arc v_in -> v_out, and each
+    edge vw gives the arcs v_out -> w_in and w_out -> v_in; every arc has
+    capacity one, which suffices because flow through any edge is
+    throttled by its endpoints.  The flow runs from s_out to t_in and is
+    kept in three masks: fout[v] holds the w with flow on v_out -> w_in,
+    fin[w] the same arcs seen from w, and used the vertices whose split
+    arc carries flow.  Each augmenting-path search reads the residual
+    arcs from them and adj:
+
+        v_out -> w_in   w in adj[v] & vmask, w != s, w not in fout[v]
+        w_in -> v_out   v in fin[w] (cancels flow)
+        v_in -> v_out   v not in used
+        v_out -> v_in   v in used (cancels flow)
+
+    Conservation gives fin[v] and fout[v] one bit each for v in used and
+    none otherwise (s and t aside), so a used vertex's entry leads back
+    only to its predecessor on its path.  Stops as soon as k paths exist.
     """
-    residual: dict[int, dict[int, int]] = {}
-
-    def arc(u, w):
-        residual.setdefault(u, {})[w] = 1
-        residual.setdefault(w, {}).setdefault(u, 0)
-
-    for v in _bits(vmask):
-        arc(2 * v, 2 * v + 1)
-        for w in _bits(adj[v] & vmask):
-            arc(2 * v + 1, 2 * w)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < k:
-        parent: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue and snk not in parent:
-            u = queue.popleft()
-            for w, cap in residual[u].items():
-                if cap > 0 and w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        if snk not in parent:
+    size = vmask.bit_length()
+    fout = [0] * size
+    fin = [0] * size
+    used = 0
+    sbit, tbit = 1 << s, 1 << t
+    enter = vmask & ~sbit  # no path re-enters s
+    for _ in range(k):
+        # BFS by layers of exits.  from_out[w] is the exit that reached
+        # w_in (w itself: the reversed split arc); from_in[v] is the entry
+        # that reached v_out (v itself: the split arc).
+        from_out: dict[int, int] = {}
+        from_in: dict[int, int] = {}
+        seen_in = 0
+        seen_out = frontier = sbit
+        while frontier:
+            entries = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                reach = (adj[v] & ~fout[v] & enter | used & low) & ~seen_in
+                seen_in |= reach
+                entries |= reach
+                while reach:
+                    w_low = reach & -reach
+                    reach ^= w_low
+                    from_out[w_low.bit_length() - 1] = v
+            if seen_in & tbit:
+                break
+            while entries:
+                low = entries & -entries
+                entries ^= low
+                w = low.bit_length() - 1
+                nxt = fin[w] if used & low else low
+                if not seen_out & nxt:
+                    seen_out |= nxt
+                    frontier |= nxt
+                    from_in[nxt.bit_length() - 1] = w
+        if not seen_in & tbit:
             return False
-        w = snk
-        while parent[w] is not None:
-            u = parent[w]
-            residual[u][w] -= 1
-            residual[w][u] += 1
-            w = u
-        flow += 1
+        # Augment along the path back from t_in to s_out.
+        w = t
+        while True:
+            v = from_out[w]
+            if v == w:
+                used &= ~(1 << v)
+            else:
+                fout[v] |= 1 << w
+                fin[w] |= 1 << v
+            if v == s:
+                break
+            w = from_in[v]
+            if w == v:
+                used |= 1 << v
+            else:
+                fout[v] &= ~(1 << w)
+                fin[w] &= ~(1 << v)
     return True
 
 
@@ -222,6 +269,11 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     """Bitset core of the fast decision; adj maps vertex -> neighbor mask.
 
     Neighbor masks may mention vertices outside vmask; they are ignored.
+    After the completeness, size, connectivity and minimum-degree gates,
+    Even's test flows only from the first kappa vertices of vmask, each to
+    its non-neighbors: any cut smaller than kappa misses one of those
+    sources and separates it from a non-neighbor.  A pair of two sources
+    is flowed once.
     """
     if kappa <= 0:
         return True
@@ -240,11 +292,12 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     if any((adj[v] & vmask).bit_count() < kappa for v in verts):
         # A low-degree vertex has a non-neighbor; its neighborhood is a cut.
         return False
-    for s, t in combinations(verts, 2):
-        if adj[s] >> t & 1:
-            continue
-        if not _cut_at_least(vmask, adj, s, t, kappa):
-            return False
+    done = 0
+    for s in verts[:kappa]:
+        done |= 1 << s
+        for t in _bits(vmask & ~adj[s] & ~done):
+            if not _cut_at_least(vmask, adj, s, t, kappa):
+                return False
     return True
 
 

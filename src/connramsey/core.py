@@ -34,6 +34,11 @@ def pair_index(n: int, a: int, b: int) -> int:
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
+def check_color_count(lam: int) -> None:
+    if lam < 1:
+        raise ValueError(f"color count must be >= 1, got {lam}")
+
+
 def all_pairs(n: int):
     """Pairs (a, b) with a < b < n in lexicographic order."""
     return combinations(range(n), 2)
@@ -55,8 +60,7 @@ class Coloring:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if self.lam < 1:
-            raise ValueError(f"color count must be >= 1, got {self.lam}")
+        check_color_count(self.lam)
         want = self.n * (self.n - 1) // 2
         if len(self.colors) != want:
             raise ValueError(
@@ -86,8 +90,7 @@ def make_coloring(n: int, lam: int, entries) -> Coloring:
     """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
-    if lam < 1:
-        raise ValueError(f"color count must be >= 1, got {lam}")
+    check_color_count(lam)
     npairs = n * (n - 1) // 2
     slots: list[int | None] = [None] * npairs
     for a, b, col in entries:

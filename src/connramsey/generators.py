@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Coloring, all_pairs
+from .core import Coloring, all_pairs, check_color_count
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ def delta_coloring(ell: int) -> Coloring:
 
 
 def constant_coloring(n: int, color: int, lam: int) -> Coloring:
+    check_color_count(lam)
     if not 0 <= color < lam:
         raise ValueError(f"color {color} out of range 0..{lam - 1}")
     return Coloring(n, lam, (color,) * (n * (n - 1) // 2))
@@ -76,6 +77,7 @@ def constant_coloring(n: int, color: int, lam: int) -> Coloring:
 
 def random_coloring(n: int, lam: int, seed: int = 0) -> Coloring:
     """Uniform colors from a seeded generator; identical across runs."""
+    check_color_count(lam)
     rng = random.Random(seed)
     return Coloring(n, lam, tuple(rng.randrange(lam) for _ in range(n * (n - 1) // 2)))
 

@@ -75,3 +75,25 @@ def has_monochromatic_m_set(c, m):
         if len(colors) == 1:
             return True
     return False
+
+
+def min_vertex_separator(vertices, edges, s, t):
+    """Size of the smallest S, avoiding s and t, whose removal leaves no
+    s-t path; found by sweeping removal sets in order of size.  s and t
+    must be distinct and non-adjacent."""
+    nbrs = {v: set() for v in vertices}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    others = [v for v in vertices if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for removed in combinations(others, size):
+            blocked = set(removed)
+            seen, stack = {s}, [s]
+            while stack:
+                for w in nbrs[stack.pop()] - blocked - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if t not in seen:
+                return size
+    raise ValueError("s and t are adjacent")

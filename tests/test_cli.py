@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,22 @@ def test_gen_constant(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text() == "3 1\n0 1 0\n0 2 0\n1 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lam",
+    [
+        (("random", "--n", "3", "--colors", "-2"), -2),
+        (("constant", "--n", "3", "--color", "0", "--colors", "0"), 0),
+    ],
+)
+def test_gen_rejects_color_count_below_one(tmp_path, capsys, argv, lam):
+    out = tmp_path / "bad.col"
+    code, stdout, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: color count must be >= 1, got {lam}\n"
+    assert not out.exists()
 
 
 def test_gen_csystem_deterministic(tmp_path, capsys):
@@ -277,6 +294,33 @@ def test_check_conn(tmp_path, capsys):
     assert code == 1
 
 
+def circulant(n, offsets):
+    return make_graph(range(n), [(v, (v + o) % n) for v in range(n) for o in offsets])
+
+
+def two_cliques(k, bridges):
+    """Cliques on 0..k-1 and k..2k-1, joined by the edges (i, k + i), i < bridges."""
+    edges = list(combinations(range(k), 2)) + [(a + k, b + k) for a, b in combinations(range(k), 2)]
+    return make_graph(range(2 * k), edges + [(i, k + i) for i in range(bridges)])
+
+
+@pytest.mark.parametrize(
+    "graph, kappa, code, stdout",
+    [
+        (circulant(40, (1, 2, 3)), 6, 0, '{"kappa":6,"kappa_connected":true,"n":40}\n'),
+        (circulant(40, (1, 2, 3)), 7, 1, '{"kappa":7,"kappa_connected":false,"n":40}\n'),
+        # Minimum degree 6, but the bridge ends on one side are a 5-vertex
+        # cut that only the flow finds.
+        (two_cliques(7, 5), 6, 1, '{"kappa":6,"kappa_connected":false,"n":14}\n'),
+        (two_cliques(7, 5), 5, 0, '{"kappa":5,"kappa_connected":true,"n":14}\n'),
+    ],
+)
+def test_check_conn_bench_graphs(tmp_path, capsys, graph, kappa, code, stdout):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(graph))
+    assert run(capsys, "check-conn", str(path), "--kappa", str(kappa)) == (code, stdout, "")
+
+
 def test_check_wc(delta_file, capsys):
     code, stdout, _ = run(capsys, "check-wc", delta_file, "--set", "0,1,2", "--palette", "0")
     assert code == 0
@@ -351,6 +395,27 @@ def fresh_process(argv, **env):
         capture_output=True, text=True, env=env, timeout=60,
     )
     return done.returncode, done.stdout
+
+
+def test_module_entry_point_runs_without_warnings():
+    # The package must not import connramsey.cli itself, or runpy warns
+    # that the module is already loaded before it runs it as __main__.
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "connramsey.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: connramsey")
+
+
+def test_verify_certificate_exported_lazily():
+    from connramsey import cli
+
+    assert connramsey.verify_certificate is cli.verify_certificate
+    assert verify_certificate is cli.verify_certificate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        connramsey.no_such_name
 
 
 @pytest.mark.parametrize("columns", ["50", "120"])

@@ -16,7 +16,8 @@ from connramsey import (
     read_graph,
     write_graph,
 )
-from oracles import all_graphs_on, is_complete
+from connramsey.connectivity import _adjacency, _cut_at_least, _vertex_mask, kappa_connected_mask
+from oracles import all_graphs_on, is_complete, min_vertex_separator
 
 
 def complete_graph(m):
@@ -111,6 +112,85 @@ def test_edge_monotone():
         for kappa in range(1, m + 1):
             if kappa_connected_fast(g, kappa):
                 assert kappa_connected_fast(bigger, kappa)
+
+
+def random_embedded(rng, universe):
+    """Random graph on the whole universe and a random vertex subset of it:
+    the subset need not be contiguous, and its neighbor masks name
+    vertices outside it, as when the hc decider tests a candidate set."""
+    adj = [0] * universe
+    p = rng.choice((0.3, 0.5, 0.7, 0.9))
+    for a, b in combinations(range(universe), 2):
+        if rng.random() < p:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    X = sorted(rng.sample(range(universe), rng.randint(0, universe)))
+    return adj, X
+
+
+def induced(adj, X):
+    return make_graph(X, [(a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1])
+
+
+def test_mask_matches_bruteforce_inside_larger_universe():
+    rng = random.Random(3)
+    for _ in range(1500):
+        adj, X = random_embedded(rng, rng.randint(1, 12))
+        vmask = sum(1 << v for v in X)
+        g = induced(adj, X)
+        for kappa in range(len(X) + 2):
+            assert kappa_connected_mask(vmask, adj, kappa) == kappa_connected_bruteforce(g, kappa), (
+                adj,
+                X,
+                kappa,
+            )
+
+
+def test_cut_at_least_counts_min_vertex_separator():
+    rng = random.Random(4)
+    for _ in range(400):
+        adj, X = random_embedded(rng, rng.randint(2, 9))
+        vmask = sum(1 << v for v in X)
+        g = induced(adj, X)
+        for s, t in combinations(X, 2):
+            if adj[s] >> t & 1:
+                continue
+            sep = min_vertex_separator(g.vertices, g.edges, s, t)
+            largest = max(k for k in range(len(X)) if _cut_at_least(vmask, adj, s, t, k))
+            assert largest == sep, (adj, X, s, t)
+            assert _cut_at_least(vmask, adj, t, s, sep)
+            assert not _cut_at_least(vmask, adj, t, s, sep + 1)
+
+
+def test_even_cut_hidden_behind_first_sources():
+    """Every cut smaller than kappa holds all of the first kappa - 1
+    vertices, so only a flow from the kappa-th vertex can find one."""
+    rng = random.Random(5)
+    for _ in range(60):
+        kappa = rng.randint(2, 5)
+        size_a = rng.randint(2, 4)
+        size_b = rng.randint(max(2, kappa - size_a), 5)
+        sep = list(range(kappa - 1))
+        rest = list(range(kappa - 1, kappa - 1 + size_a + size_b))
+        rng.shuffle(rest)
+        A, B = rest[:size_a], rest[size_a:]
+        edges = set(combinations(A, 2)) | set(combinations(B, 2))
+        edges |= {(x, v) for x in sep for v in rest}
+        edges |= {p for p in combinations(sep, 2) if rng.random() < 0.5}
+        g = make_graph(sep + rest, edges)
+        adj, vmask = _adjacency(g), _vertex_mask(g)
+        # The deficient cut is the first kappa - 1 vertices themselves, and
+        # each of them still reaches every non-neighbor kappa times.
+        for s in sep:
+            for t in g.vertices:
+                if t != s and not adj[s] >> t & 1:
+                    assert _cut_at_least(vmask, adj, s, t, kappa)
+        assert not kappa_connected_bruteforce(g, kappa)
+        assert not kappa_connected_mask(vmask, adj, kappa)
+        assert kappa_connected_mask(vmask, adj, kappa - 1)
+        # One edge across the cut: the flow must not report a stale cut.
+        bridged = Graph(g.vertices, g.edges | {tuple(sorted((rng.choice(A), rng.choice(B))))})
+        assert kappa_connected_fast(bridged, kappa) == kappa_connected_bruteforce(bridged, kappa)
 
 
 def test_graph_validation():
