@@ -6,9 +6,6 @@ from .arrows import (
     ResourceCapExceeded,
     ThresholdResult,
     decide,
-    decide_classical,
-    decide_hc,
-    decide_wc,
     enumerate_colorings_canonical,
     palette_tuples,
     ramsey_number,
@@ -34,14 +31,11 @@ from .core import (
     certificate_from_json,
     certificate_to_json,
     make_coloring,
-    permute_colors,
     read_coloring,
     restrict_coloring,
     write_coloring,
 )
 from .generators import (
-    StringVertexMap,
-    aligned,
     constant_coloring,
     delta_coloring,
     find_delta_subsystem,

@@ -1,11 +1,13 @@
 """Decide the partition relations on a coloring and search thresholds.
 
-decide_classical asks for a size-m vertex set whose pairs use colors from
-a palette of size at most kappa; decide_hc asks for a size-m set X whose
+One witness search serves every mode.  hc asks for a size-m set X whose
 palette-colored pairs form a j-connected graph on X (taking every
 palette-colored pair inside X is sound because adding edges never breaks
-kappa-connectedness); decide_wc asks for a size-m chain of the
-well-connectedness order under some palette.
+j-connectedness).  Classical is hc with j = m: a finite graph is
+m-connected on m vertices exactly when it is complete, so j = m is a
+clique search.  wc asks for a size-m chain of the well-connectedness
+order under some palette, and its certificate carries one search-tree
+path per pair.
 
 Searches are deterministic: palettes are enumerated in lexicographic
 order of their ascending member tuples, vertex sets in lexicographic
@@ -51,11 +53,12 @@ from .core import (
     Palette,
     RelationQuery,
     WcCertificate,
+    bits,
     canonical_color_form,
     pair_index,
     palette_adjacency,
 )
-from .wellconn import chain_of_length, wc_order, wc_pair
+from .wellconn import chain_of_length, is_wc_set, wc_order
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -99,13 +102,6 @@ def palette_tuples(lam: int, kappa: int):
     yield from grow((), 0)
 
 
-def _check_params(c: Coloring, m: int, kappa: int) -> None:
-    if not 2 <= m <= c.n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={c.n}")
-    if kappa < 1:
-        raise ValueError("need kappa >= 1")
-
-
 def _find_clique(adj, cands: int, m: int) -> tuple[int, ...] | None:
     """Lexicographically least m-set inside the vertex mask `cands` whose
     pairs are all adjacent in `adj`, or None."""
@@ -129,72 +125,85 @@ def _find_clique(adj, cands: int, m: int) -> tuple[int, ...] | None:
     return tuple(out) if grow(cands, m) else None
 
 
-def decide_classical(c: Coloring, m: int, kappa: int) -> DecisionOutcome:
-    """Some X of size m with all pair colors inside a size <= kappa
-    palette?  The witness is an hc certificate with E = all pairs of X
-    and certified connectivity m."""
-    _check_params(c, m, kappa)
-    tried = []
-    for pal in palette_tuples(c.lam, kappa):
-        X = _find_clique(palette_adjacency(c, set(pal)), (1 << c.n) - 1, m)
-        if X is not None:
-            palette = Palette(frozenset(pal), AT_MOST_K, kappa)
-            return _holds(HcCertificate(c.n, c.lam, X, palette, frozenset(combinations(X, 2)), m))
-        tried.append(pal)
-    return _fails(tried)
+def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
+    """(palette, X) for the first of `palettes` under which c has a
+    witness, X the lexicographically least one; None when none has.
 
-
-def decide_hc(c: Coloring, m: int, kappa: int, j: int | None = None) -> DecisionOutcome:
-    """Some X of size m whose palette-colored pairs form a j-connected
-    graph on X?  j defaults to m, the highly connected reading, under
-    which this collapses to decide_classical at finite scale."""
-    j = m if j is None else j
-    _check_params(c, m, kappa)
-    if not 1 <= j <= m:
-        raise ValueError(f"need 1 <= j <= m, got j={j}")
-    tried = []
-    for pal in palette_tuples(c.lam, kappa):
-        colors = set(pal)
-        adj = palette_adjacency(c, colors)
-        for X in combinations(range(c.n), m):
-            xmask = 0
-            for v in X:
-                xmask |= 1 << v
-            if kappa_connected_mask(xmask, adj, j):
-                palette = Palette(frozenset(pal), AT_MOST_K, kappa)
-                edges = frozenset(
-                    (a, b) for a, b in combinations(X, 2) if c.color(a, b) in colors
-                )
-                return _holds(HcCertificate(c.n, c.lam, X, palette, edges, j))
-        tried.append(pal)
-    return _fails(tried)
-
-
-def decide_wc(c: Coloring, m: int, kappa: int) -> DecisionOutcome:
-    """Some palette of size <= kappa whose well-connectedness order has a
-    chain of length m?"""
-    _check_params(c, m, kappa)
-    tried = []
-    for pal in palette_tuples(c.lam, kappa):
-        palette = Palette(frozenset(pal), AT_MOST_K, kappa)
-        X = chain_of_length(wc_order(c, palette), m)
-        if X is not None:
-            paths = {}
-            for a, b in combinations(X, 2):
-                p = wc_pair(c, a, b, palette)
-                assert p is not None  # chain pairs are related by construction
-                paths[(a, b)] = p
-            return _holds(WcCertificate(c.n, c.lam, X, palette, paths))
-        tried.append(pal)
-    return _fails(tried)
+    j = m (classical, and hc by default) is the clique search.  j < m
+    sweeps the m-sets through the connectivity kernel.  wc takes the least
+    chain of the well-connectedness order.  With top=True the caller
+    knows that the coloring on vertices 0..n-2 has no witness, so every
+    classical or hc witness contains vertex n-1 and only those are tried;
+    wc keeps the full check.
+    """
+    m = query.m
+    if query.mode == "wc":
+        for pal in palettes:
+            X = chain_of_length(wc_order(c, pal), m)
+            if X is not None:
+                return pal, X
+        return None
+    j = m if query.j is None else query.j
+    last = c.n - 1
+    masks = [1 << v for v in range(c.n)]
+    below = masks[:last]
+    # The top vertex of a j-connected m-set has at least min(j, m - 1)
+    # neighbors inside it: otherwise the set is neither complete nor of
+    # minimum degree j.
+    need = min(j, m - 1)
+    for pal in palettes:
+        adj = palette_adjacency(c, pal.members)
+        if j == m:
+            if top:
+                X = _find_clique(adj, adj[last], m - 1)
+                if X is not None:
+                    return pal, X + (last,)
+            else:
+                X = _find_clique(adj, (1 << c.n) - 1, m)
+                if X is not None:
+                    return pal, X
+        elif top:
+            near = adj[last]
+            for rest in combinations(below, m - 1):
+                xmask = sum(rest) | masks[last]
+                if (xmask & near).bit_count() >= need and kappa_connected_mask(xmask, adj, j):
+                    return pal, tuple(bits(xmask))
+        else:
+            for X in combinations(masks, m):
+                xmask = sum(X)
+                if kappa_connected_mask(xmask, adj, j):
+                    return pal, tuple(bits(xmask))
+    return None
 
 
 def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
-    if query.mode == "classical":
-        return decide_classical(c, query.m, query.kappa)
-    if query.mode == "hc":
-        return decide_hc(c, query.m, query.kappa, query.j)
-    return decide_wc(c, query.m, query.kappa)
+    """The first palette of size at most kappa, in palette_tuples order,
+    with a witness, and a certificate for its least witness X; else the
+    log of the palettes tried.
+
+    Classical and hc certificates are hc certificates whose E holds every
+    palette-colored pair of X and whose j is m for classical.  wc
+    certificates carry one path per pair of X.
+    """
+    if query.m > c.n:
+        raise ValueError(f"need 2 <= m <= n, got m={query.m}, n={c.n}")
+    tried = []
+    for pal in palette_tuples(c.lam, query.kappa):
+        palette = Palette(frozenset(pal), AT_MOST_K, query.kappa)
+        hit = _witness(c, query, (palette,))
+        if hit is None:
+            tried.append(pal)
+            continue
+        X = hit[1]
+        if query.mode == "wc":
+            cert = is_wc_set(c, X, palette)
+            assert cert is not None  # chain pairs are related by construction
+            return _holds(cert)
+        adj = palette_adjacency(c, palette.members)
+        edges = frozenset((a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1)
+        j = query.m if query.j is None else query.j
+        return _holds(HcCertificate(c.n, c.lam, X, palette, edges, j))
+    return _fails(tried)
 
 
 def enumerate_colorings_canonical(n: int, lam: int):
@@ -249,46 +258,6 @@ def _maximal_palettes(lam: int, kappa: int) -> list[Palette]:
     ]
 
 
-def _satisfies(c: Coloring, query: RelationQuery, palettes, top: bool = False) -> bool:
-    """Verdict only: does c satisfy the relation under one of `palettes`?
-
-    The palettes are the maximal ones: adding a color to the palette adds
-    edges, which never breaks a clique, j-connectedness or a wc path.
-    With top=True the caller knows that the coloring on vertices 0..n-2
-    fails, so every classical or hc witness must contain vertex n-1 and
-    only those are tried; wc keeps the full check.
-    """
-    m = query.m
-    if query.mode == "wc":
-        return any(chain_of_length(wc_order(c, pal), m) is not None for pal in palettes)
-    last = c.n - 1
-    bits = [1 << v for v in range(c.n)]
-    for pal in palettes:
-        adj = palette_adjacency(c, pal.members)
-        if query.mode == "classical":
-            if top:
-                found = _find_clique(adj, adj[last], m - 1)
-            else:
-                found = _find_clique(adj, (1 << c.n) - 1, m)
-            if found is not None:
-                return True
-            continue
-        if not top:
-            if any(kappa_connected_mask(sum(X), adj, query.j) for X in combinations(bits, m)):
-                return True
-            continue
-        # The top vertex of a j-connected m-set has at least min(j, m - 1)
-        # neighbors inside it: otherwise the set is neither complete nor
-        # of minimum degree j.
-        need = min(query.j, m - 1)
-        near = adj[last]
-        for rest in combinations(bits[:last], m - 1):
-            xmask = sum(rest) | bits[last]
-            if (xmask & near).bit_count() >= need and kappa_connected_mask(xmask, adj, query.j):
-                return True
-    return False
-
-
 def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     """The scanner: per n, canonical colorings in enumeration order up to
     the first failure.  Yields the level after every verdict and returns
@@ -298,7 +267,7 @@ def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     for n in range(m, n_max + 1):
         failing = None
         for cand in enumerate_colorings_canonical(n, lam):
-            holds = _satisfies(cand, query, palettes)
+            holds = _witness(cand, query, palettes) is not None
             yield n
             if not holds:
                 failing = cand
@@ -361,7 +330,7 @@ def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
             for top in product(range(lam), repeat=n - 1):
                 joined = base + top
                 c = Coloring(n, lam, tuple([joined[i] for i in slots]))
-                if not _satisfies(c, query, palettes, top=True):
+                if _witness(c, query, palettes, top=True) is None:
                     failing.add(_pack(canonical_color_form(c).colors, lam))
                 yield n
         if not failing:
@@ -408,9 +377,10 @@ def ramsey_number(
     coloring is the lexicographically least canonical one at its level.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
     NaN one raises ValueError, and inf runs unbounded.  Running past
-    n_max is not an error but a threshold of None.
+    n_max is not an error but a threshold of None.  j is the hc
+    connectivity demand; RelationQuery rejects it in the other modes.
     """
-    query = RelationQuery(mode, m, kappa, j if mode == "hc" else None)
+    query = RelationQuery(mode, m, kappa, j)
     if lam < 1:
         raise ValueError("need lam >= 1")
     if n_max < m:

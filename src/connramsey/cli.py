@@ -148,7 +148,7 @@ def cmd_gen(args) -> int:
 
 def cmd_decide(args) -> int:
     coloring = read_coloring(_read_text(args.coloring))
-    query = RelationQuery(args.mode, args.m, args.palette_size, args.j if args.mode == "hc" else None)
+    query = RelationQuery(args.mode, args.m, args.palette_size, args.j)
     outcome = decide(coloring, query)
     if outcome.holds:
         sys.stdout.write(certificate_to_json(outcome.certificate))
@@ -172,7 +172,7 @@ def cmd_ramsey(args) -> int:
         args.colors,
         args.palette_size,
         args.max_n,
-        j=args.j if args.mode == "hc" else None,
+        j=args.j,
         time_limit=args.time_limit,
     )
     _emit({"threshold": result.threshold, "extremal": write_coloring(result.extremal)})

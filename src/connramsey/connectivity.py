@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FormatError
+from .core import FormatError, bits, reach
 
 
 @dataclass(frozen=True)
@@ -129,27 +129,11 @@ def _vertex_mask(g: Graph) -> int:
     return m
 
 
-def _connected_mask(vmask: int, adj) -> bool:
-    """Bit-parallel BFS; the empty and one-vertex graphs are connected."""
-    if vmask == 0:
-        return True
-    seen = vmask & -vmask
-    frontier = seen
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            reach |= adj[low.bit_length() - 1]
-        frontier = reach & vmask & ~seen
-        seen |= frontier
-    return seen == vmask
-
-
 def is_connected(g: Graph) -> bool:
-    """Every two vertices joined by a path of pairwise distinct vertices."""
-    return _connected_mask(_vertex_mask(g), _adjacency(g))
+    """Every two vertices joined by a path of pairwise distinct vertices;
+    the empty and one-vertex graphs are connected."""
+    vmask = _vertex_mask(g)
+    return reach(vmask & -vmask, _adjacency(g), vmask) == vmask
 
 
 def kappa_connected_bruteforce(g: Graph, kappa: int) -> bool:
@@ -171,16 +155,9 @@ def kappa_connected_bruteforce(g: Graph, kappa: int) -> bool:
                 rmask &= ~(1 << y)
             if rmask.bit_count() <= 1:
                 continue
-            if not _connected_mask(rmask, adj):
+            if reach(rmask & -rmask, adj, rmask) != rmask:
                 return False
     return True
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
@@ -225,12 +202,12 @@ def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
                 low = frontier & -frontier
                 frontier ^= low
                 v = low.bit_length() - 1
-                reach = (adj[v] & ~fout[v] & enter | used & low) & ~seen_in
-                seen_in |= reach
-                entries |= reach
-                while reach:
-                    w_low = reach & -reach
-                    reach ^= w_low
+                opened = (adj[v] & ~fout[v] & enter | used & low) & ~seen_in
+                seen_in |= opened
+                entries |= opened
+                while opened:
+                    w_low = opened & -opened
+                    opened ^= w_low
                     from_out[w_low.bit_length() - 1] = v
             if seen_in & tbit:
                 break
@@ -280,14 +257,14 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     nv = vmask.bit_count()
     if nv <= 1:
         return True
-    verts = list(_bits(vmask))
+    verts = list(bits(vmask))
     if all((adj[v] & vmask) == vmask ^ (1 << v) for v in verts):
         return True
     if nv <= kappa + 1:
         # Removals reach two-vertex remainders, where only completeness
         # survives, and this graph is not complete.
         return False
-    if not _connected_mask(vmask, adj):
+    if reach(vmask & -vmask, adj, vmask) != vmask:
         return False
     if any((adj[v] & vmask).bit_count() < kappa for v in verts):
         # A low-degree vertex has a non-neighbor; its neighborhood is a cut.
@@ -295,7 +272,7 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     done = 0
     for s in verts[:kappa]:
         done |= 1 << s
-        for t in _bits(vmask & ~adj[s] & ~done):
+        for t in bits(vmask & ~adj[s] & ~done):
             if not _cut_at_least(vmask, adj, s, t, kappa):
                 return False
     return True

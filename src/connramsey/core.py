@@ -1,4 +1,5 @@
-"""Symmetric pair colorings, color palettes, queries, and certificates.
+"""Symmetric pair colorings, color palettes, queries, certificates, and the
+bitset helpers the searches share.
 
 Vertices are the integers 0..n-1 and stand for ordinals, so the vertex
 order is meaningful: well-connectedness constrains witness paths to
@@ -23,10 +24,9 @@ class FormatError(ValueError):
 
 # Palette budget kinds.
 AT_MOST_K = "at-most-k"
-STRICTLY_BELOW_K = "strictly-below-k"
 INITIAL_SEGMENT = "subset-of-initial-segment-i"
 
-_BUDGET_KINDS = (AT_MOST_K, STRICTLY_BELOW_K, INITIAL_SEGMENT)
+_BUDGET_KINDS = (AT_MOST_K, INITIAL_SEGMENT)
 
 
 def pair_index(n: int, a: int, b: int) -> int:
@@ -129,14 +129,6 @@ def restrict_coloring(c: Coloring, universe) -> tuple[Coloring, tuple[int, ...]]
     return Coloring(len(uni), c.lam, cols), uni
 
 
-def permute_colors(c: Coloring, perm) -> Coloring:
-    """Relabel colors through a bijection on 0..lambda-1."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(c.lam)):
-        raise ValueError("color map is not a bijection on 0..lambda-1")
-    return Coloring(c.n, c.lam, tuple(perm[x] for x in c.colors))
-
-
 def canonical_color_form(c: Coloring) -> Coloring:
     """Relabel colors by first appearance in lexicographic pair order.
 
@@ -163,6 +155,30 @@ def palette_adjacency(c: Coloring, colors) -> list[int]:
                 adj[b] |= 1 << a
             k += 1
     return adj
+
+
+def bits(mask: int):
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def reach(seed: int, adj, allowed: int) -> int:
+    """Mask of the vertices reachable from the vertices of `seed` along
+    `adj` through vertices of `allowed`, by bit-parallel breadth-first
+    search; the seed itself is included."""
+    seen = frontier = seed
+    while frontier:
+        out = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            out |= adj[low.bit_length() - 1]
+        frontier = out & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def write_coloring(c: Coloring) -> str:
@@ -216,8 +232,8 @@ def read_coloring(text: str) -> Coloring:
 class Palette:
     """A set of colors under a cardinality budget.
 
-    Budget kinds: AT_MOST_K (|members| <= budget), STRICTLY_BELOW_K
-    (|members| < budget), INITIAL_SEGMENT (members within 0..budget-1).
+    Budget kinds: AT_MOST_K (|members| <= budget), INITIAL_SEGMENT
+    (members within 0..budget-1).
     A budget of None leaves the palette unconstrained.
     """
 
@@ -237,8 +253,6 @@ class Palette:
         size = len(self.members)
         if self.budget_kind == AT_MOST_K and size > self.budget:
             raise ValueError(f"palette has {size} colors, budget allows at most {self.budget}")
-        if self.budget_kind == STRICTLY_BELOW_K and size >= self.budget:
-            raise ValueError(f"palette has {size} colors, budget allows fewer than {self.budget}")
         if self.budget_kind == INITIAL_SEGMENT and any(x >= self.budget for x in self.members):
             raise ValueError(f"palette not contained in 0..{self.budget - 1}")
 

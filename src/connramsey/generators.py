@@ -1,48 +1,17 @@
-"""Constructors for benchmark colorings and set-family utilities.
+"""Constructors for benchmark colorings and a set-family utility.
 
 The first-difference coloring on bit strings keeps monochromatic and
 small-palette structure provably small, the hub coloring manufactures
 instances where a one-color palette already carries a well-spread
-connected subgraph, and the alignment / sunflower helpers are the
-reusable combinatorial pieces of hub-style constructions.
+connected subgraph, and the sunflower search is a combinatorial piece of
+hub-style constructions.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import combinations
 
 from .core import Coloring, all_pairs, check_color_count
-
-
-@dataclass(frozen=True)
-class StringVertexMap:
-    """Bijection between vertices 0..2^ell-1 and their ell-bit strings.
-
-    Bit 0 is the most significant position, so integer order on vertices
-    agrees with lexicographic order on strings.
-    """
-
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("need ell >= 1")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.ell
-
-    def string_of(self, v: int) -> str:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for ell={self.ell}")
-        return format(v, f"0{self.ell}b")
-
-    def vertex_of(self, s: str) -> int:
-        if len(s) != self.ell or any(ch not in "01" for ch in s):
-            raise ValueError(f"not an {self.ell}-bit string: {s!r}")
-        return int(s, 2)
 
 
 def first_difference(u: int, v: int, ell: int) -> int:
@@ -118,20 +87,6 @@ def hub_coloring(n0: int, n1: int) -> Coloring:
         else:
             cols.append(1 + first_difference(ip, iq, bits[cp]))
     return Coloring(n0 + n1, lam, tuple(cols))
-
-
-def aligned(u, v) -> bool:
-    """Same order type, and every common element at the same index.
-
-    Inputs are ascending sequences of mutually comparable, hashable
-    values (integers or ordinals).
-    """
-    us = list(u)
-    vs = list(v)
-    if len(us) != len(vs):
-        return False
-    pos_v = {x: k for k, x in enumerate(vs)}
-    return all(pos_v.get(x, k) == k for k, x in enumerate(us))
 
 
 def find_delta_subsystem(family, t: int):

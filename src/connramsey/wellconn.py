@@ -16,9 +16,8 @@ and a failure there is a test failure, not a silent assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import Coloring, Palette, WcCertificate, palette_adjacency
+from .core import Coloring, Palette, WcCertificate, bits, palette_adjacency, reach
 
 
 def _check_palette(c: Coloring, palette: Palette) -> None:
@@ -27,56 +26,71 @@ def _check_palette(c: Coloring, palette: Palette) -> None:
             raise ValueError(f"palette color {x} out of range for lambda={c.lam}")
 
 
-def wc_pair(c: Coloring, alpha: int, beta: int, palette: Palette) -> tuple[int, ...] | None:
-    """Witnessing path for the pair, or None.
+def _search_tree(adj, a: int) -> dict[int, int]:
+    """Breadth-first search from a over vertices >= a along adj: the
+    parent of every vertex reached, in discovery order.
 
-    Breadth-first search from alpha over vertices >= alpha along
-    palette-colored edges; the search tree path is simple, starts at
-    alpha, ends at beta, and never dips below alpha.
+    Vertices are discovered frontier by frontier, each frontier vertex in
+    discovery order adding its new neighbors in ascending order, so every
+    tree path is simple, starts at a and never dips below a.
     """
+    above = -1 << a
+    seen = 1 << a
+    parent = {a: a}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            new = adj[u] & above & ~seen
+            seen |= new
+            for w in bits(new):
+                parent[w] = u
+                nxt.append(w)
+        frontier = nxt
+    return parent
+
+
+def _tree_path(parent: dict[int, int], b: int) -> tuple[int, ...] | None:
+    """Path from the root of the search tree to b, or None."""
+    if b not in parent:
+        return None
+    path = [b]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def wc_pair(c: Coloring, alpha: int, beta: int, palette: Palette) -> tuple[int, ...] | None:
+    """Witnessing path for the pair, or None: the path to beta in the
+    search tree from alpha over vertices >= alpha along palette-colored
+    edges."""
     if not 0 <= alpha < c.n or not 0 <= beta < c.n:
         raise ValueError(f"pair ({alpha}, {beta}) out of range for n={c.n}")
     if alpha >= beta:
         raise ValueError("need alpha < beta")
     _check_palette(c, palette)
-    members = palette.members
-    if not members:
-        return None
-    parent: dict[int, int | None] = {alpha: None}
-    frontier = [alpha]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in range(alpha, c.n):
-                if w in parent or w == u:
-                    continue
-                if c.color(u, w) in members:
-                    parent[w] = u
-                    if w == beta:
-                        path = [w]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        return tuple(reversed(path))
-                    nxt.append(w)
-        frontier = nxt
-    return None
+    return _tree_path(_search_tree(palette_adjacency(c, palette.members), alpha), beta)
 
 
 def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
     """Certificate with a path per pair when every pair of X is
     well-connected in the palette; singletons and the empty set qualify
-    vacuously."""
+    vacuously.  One search tree per vertex of X gives its paths to the
+    larger ones, the same paths wc_pair gives."""
     xs = tuple(sorted(set(X)))
     for v in xs:
         if not 0 <= v < c.n:
             raise ValueError(f"vertex {v} out of range for n={c.n}")
     _check_palette(c, palette)
+    adj = palette_adjacency(c, palette.members)
     paths = {}
-    for a, b in combinations(xs, 2):
-        p = wc_pair(c, a, b, palette)
-        if p is None:
-            return None
-        paths[(a, b)] = p
+    for k, a in enumerate(xs[:-1]):
+        parent = _search_tree(adj, a)
+        for b in xs[k + 1 :]:
+            p = _tree_path(parent, b)
+            if p is None:
+                return None
+            paths[(a, b)] = p
     return WcCertificate(c.n, c.lam, xs, palette, paths)
 
 
@@ -102,33 +116,18 @@ class WcOrder:
 
 
 def wc_order(c: Coloring, palette: Palette) -> WcOrder:
-    """Materialize the relation by one reachability sweep per source."""
+    """Materialize the relation by one reachability sweep per source.
+
+    Keeps no search-tree parents: threshold search builds orders by the
+    thousand and needs no paths; is_wc_set builds trees for the chain it
+    certifies.
+    """
     _check_palette(c, palette)
-    succ: list[frozenset[int]] = []
-    if not palette.members:
-        return WcOrder(c.n, palette, tuple(frozenset() for _ in range(c.n)))
     adj = palette_adjacency(c, palette.members)
-    for a in range(c.n):
-        allowed = -1 << a
-        seen = 1 << a
-        frontier = seen
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & allowed & ~seen
-            seen |= frontier
-        seen ^= 1 << a
-        members = []
-        while seen:
-            low = seen & -seen
-            seen ^= low
-            members.append(low.bit_length() - 1)
-        succ.append(frozenset(members))
-    return WcOrder(c.n, palette, tuple(succ))
+    succ = tuple(
+        frozenset(bits(reach(1 << a, adj, -1 << a) ^ (1 << a))) for a in range(c.n)
+    )
+    return WcOrder(c.n, palette, succ)
 
 
 def _chain_potentials(order: WcOrder) -> list[int]:

@@ -3,12 +3,15 @@
 Everything here re-derives answers by exhaustive enumeration so library
 results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
-sweeps instead of chain dynamic programming.
+sweeps instead of chain dynamic programming and clique search.  The
+witness oracles lean only on the brute-force removal enumerator.  Also
+here: the color relabeling the tests use, and the per-pair list search
+whose paths the library's wc certificates must reproduce byte for byte.
 """
 
 from itertools import combinations
 
-from connramsey import Graph
+from connramsey import Coloring, Graph, kappa_connected_bruteforce
 
 
 def wc_path_exists(c, a, b, members):
@@ -97,3 +100,75 @@ def min_vertex_separator(vertices, edges, s, t):
             if t not in seen:
                 return size
     raise ValueError("s and t are adjacent")
+
+
+def permute_colors(c, perm):
+    """Relabel colors through a bijection on 0..lambda-1."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(c.lam)):
+        raise ValueError("color map is not a bijection on 0..lambda-1")
+    return Coloring(c.n, c.lam, tuple(perm[x] for x in c.colors))
+
+
+def _first_witness(c, m, kappa, accepts):
+    """Walk the palettes of size 1..kappa as sorted tuples in
+    lexicographic order, and the m-sets of each in lexicographic order;
+    return (palette, X, palettes tried before) for the first set that
+    accepts(palette, X) takes, or (None, None, every palette)."""
+    palettes = sorted(p for k in range(1, kappa + 1) for p in combinations(range(c.lam), k))
+    tried = []
+    for pal in palettes:
+        for X in combinations(range(c.n), m):
+            if accepts(pal, X):
+                return pal, X, tuple(tried)
+        tried.append(pal)
+    return None, None, tuple(tried)
+
+
+def hc_witness_bruteforce(c, m, kappa, j):
+    """First palette and least m-set whose palette-colored pairs pass the
+    removal enumerator at connectivity j; classical is j = m."""
+
+    def accepts(pal, X):
+        edges = frozenset((a, b) for a, b in combinations(X, 2) if c.color(a, b) in pal)
+        return kappa_connected_bruteforce(Graph(X, edges), j)
+
+    return _first_witness(c, m, kappa, accepts)
+
+
+def wc_witness_bruteforce(c, m, kappa):
+    """First palette and least m-set whose pairs are all joined by a
+    simple path at or above their smaller end, by exhaustive search."""
+    related = {}
+
+    def accepts(pal, X):
+        if pal not in related:
+            related[pal] = wc_pairs_exhaustive(c, frozenset(pal))
+        return all(p in related[pal] for p in combinations(X, 2))
+
+    return _first_witness(c, m, kappa, accepts)
+
+
+def wc_pair_reference(c, alpha, beta, members):
+    """Breadth-first search from alpha over vertices >= alpha along edges
+    colored in members, reading one pair color per step and stopping at
+    beta; the path to beta in its search tree, or None.  This is the
+    list-ordered search whose paths the library's wc certificates keep."""
+    parent = {alpha: None}
+    frontier = [alpha]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in range(alpha, c.n):
+                if w in parent or w == u:
+                    continue
+                if c.color(u, w) in members:
+                    parent[w] = u
+                    if w == beta:
+                        path = [w]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return tuple(reversed(path))
+                    nxt.append(w)
+        frontier = nxt
+    return None

@@ -14,10 +14,9 @@ import pytest
 
 from connramsey import (
     Palette,
+    RelationQuery,
     certificate_to_json,
-    decide_classical,
-    decide_hc,
-    decide_wc,
+    decide,
     delta_coloring,
     is_highly_connected,
     kappa_connected_bruteforce,
@@ -75,9 +74,9 @@ def chain_outcomes(chain_corpus):
             (
                 c,
                 m,
-                decide_classical(c, m, 1),
-                decide_hc(c, m, 1, j=m),
-                decide_wc(c, m, 1),
+                decide(c, RelationQuery("classical", m, 1)),
+                decide(c, RelationQuery("hc", m, 1, m)),
+                decide(c, RelationQuery("wc", m, 1)),
             )
         )
     return rows
@@ -160,7 +159,7 @@ def test_criterion_06_classical_triangle_threshold():
     assert result.threshold == 6
     extremal = result.extremal
     assert extremal.n == 5
-    assert not decide_classical(extremal, 3, 1).holds
+    assert not decide(extremal, RelationQuery("classical", 3, 1)).holds
     # independent re-check that the extremal coloring has no
     # monochromatic triangle
     assert not has_monochromatic_m_set(extremal, 3)
@@ -175,11 +174,11 @@ def test_criterion_07_wc_threshold(wc_threshold, tmp_path, capsys):
     assert v is not None and 2 <= v <= 6
     rerun = ramsey_number("wc", 3, 2, 1, 6)
     assert rerun.threshold == v and rerun.extremal == wc_threshold.extremal
-    assert not decide_wc(wc_threshold.extremal, 3, 1).holds
+    assert not decide(wc_threshold.extremal, RelationQuery("wc", 3, 1)).holds
     # twenty sampled colorings at n = v, certificates checked by the CLI
     for seed in range(20):
         c = random_coloring(v, 2, seed=70_000 + seed)
-        outcome = decide_wc(c, 3, 1)
+        outcome = decide(c, RelationQuery("wc", 3, 1))
         assert outcome.holds
         col_path = tmp_path / f"c{seed}.col"
         cert_path = tmp_path / f"c{seed}.cert.json"
@@ -257,12 +256,12 @@ def test_criterion_11_certificate_round_trip(chain_outcomes, wc_threshold):
     v = wc_threshold.threshold
     for seed in range(20):
         c6 = random_coloring(6, 2, seed=60_000 + seed)
-        out = decide_classical(c6, 3, 1)
+        out = decide(c6, RelationQuery("classical", 3, 1))
         assert out.holds  # threshold 6 means every coloring of 6 holds
         assert verify_certificate(out.certificate, c6) is None
         certs.append((out.certificate, c6))
         cv = random_coloring(v, 2, seed=70_000 + seed)
-        outw = decide_wc(cv, 3, 1)
+        outw = decide(cv, RelationQuery("wc", 3, 1))
         assert outw.holds
         assert verify_certificate(outw.certificate, cv) is None
         certs.append((outw.certificate, cv))

@@ -4,24 +4,39 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connramsey import (
     RelationQuery,
     ResourceCapExceeded,
     decide,
-    decide_classical,
-    decide_hc,
-    decide_wc,
     enumerate_colorings_canonical,
     canonical_color_form,
     palette_tuples,
-    permute_colors,
     ramsey_number,
 )
-from connramsey.arrows import _extend_levels, _maximal_palettes, _satisfies, _scan_levels
+from connramsey.arrows import _extend_levels, _maximal_palettes, _scan_levels, _witness
 from connramsey.core import Coloring
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
-from oracles import has_monochromatic_m_set
+from oracles import (
+    has_monochromatic_m_set,
+    hc_witness_bruteforce,
+    permute_colors,
+    wc_witness_bruteforce,
+)
+
+
+def classical(c, m, kappa):
+    return decide(c, RelationQuery("classical", m, kappa))
+
+
+def hc(c, m, kappa, j):
+    return decide(c, RelationQuery("hc", m, kappa, j))
+
+
+def wc(c, m, kappa):
+    return decide(c, RelationQuery("wc", m, kappa))
 
 
 def all_colorings(n, lam):
@@ -45,12 +60,12 @@ def test_palette_order_is_lexicographic():
 
 
 def test_decide_classical_examples():
-    assert decide_classical(constant_coloring(3, 0, 1), 3, 1).holds
-    assert not decide_classical(delta_coloring(2), 3, 1).holds
+    assert classical(constant_coloring(3, 0, 1), 3, 1).holds
+    assert not classical(delta_coloring(2), 3, 1).holds
     # lam <= kappa always holds: take every color
     c = random_coloring(5, 2, seed=0)
     for m in range(2, 6):
-        assert decide_classical(c, m, 2).holds
+        assert classical(c, m, 2).holds
 
 
 def test_decide_classical_agrees_with_direct_scan():
@@ -60,11 +75,11 @@ def test_decide_classical_agrees_with_direct_scan():
         lam = rng.randint(1, 4)
         c = random_coloring(n, lam, seed=3000 + case)
         m = rng.randint(2, n)
-        assert decide_classical(c, m, 1).holds == has_monochromatic_m_set(c, m)
+        assert classical(c, m, 1).holds == has_monochromatic_m_set(c, m)
 
 
 def test_decide_classical_certificate_shape():
-    out = decide_classical(constant_coloring(4, 0, 2), 3, 1)
+    out = classical(constant_coloring(4, 0, 2), 3, 1)
     cert = out.certificate
     assert cert.j == 3
     assert len(cert.X) == 3
@@ -72,62 +87,105 @@ def test_decide_classical_certificate_shape():
 
 
 def test_decide_classical_failure_logs_palettes():
-    out = decide_classical(delta_coloring(2), 3, 1)
+    out = classical(delta_coloring(2), 3, 1)
     assert out.exhausted_palettes == ((0,), (1,))
 
 
+def summary(out):
+    """(Lambda, X) of a holding decide outcome, (None, palette log) of a
+    failing one."""
+    if out.holds:
+        return out.certificate.palette.sorted_members, out.certificate.X
+    return None, out.exhausted_palettes
+
+
+def oracle_summary(pal, X, tried):
+    """The same shape from a witness oracle's (palette, X, log)."""
+    return (pal, X) if X is not None else (None, tried)
+
+
 def test_decide_hc_collapses_to_classical_at_j_equals_m():
-    # exhaustive on small instances, seeded beyond
-    for lam in (1, 2, 3):
-        for n in (2, 3, 4):
-            for c in all_colorings(n, lam):
-                for m in range(2, n + 1):
-                    for kappa in (1, 2):
-                        assert (
-                            decide_hc(c, m, kappa, j=m).holds
-                            == decide_classical(c, m, kappa).holds
-                        )
+    # exhaustive on small instances, seeded beyond; the removal
+    # enumerator is the slow oracle for the clique route both modes take
+    cases = [
+        (c, m, kappa)
+        for lam in (1, 2, 3)
+        for n in (2, 3, 4)
+        for c in all_colorings(n, lam)
+        for m in range(2, n + 1)
+        for kappa in (1, 2)
+    ]
     rng = random.Random(2)
     for case in range(150):
         n = rng.randint(5, 6)
-        lam = rng.randint(2, 3)
-        c = random_coloring(n, lam, seed=4000 + case)
-        m = rng.choice((2, 3, n))
-        assert decide_hc(c, m, 1, j=m).holds == decide_classical(c, m, 1).holds
+        c = random_coloring(n, rng.randint(2, 3), seed=4000 + case)
+        cases.append((c, rng.choice((2, 3, n)), 1))
+    for c, m, kappa in cases:
+        want = oracle_summary(*hc_witness_bruteforce(c, m, kappa, m))
+        assert summary(hc(c, m, kappa, m)) == want
+        assert summary(classical(c, m, kappa)) == want
 
 
 def test_decide_hc_hub_example():
     hub = hub_coloring(2, 2)
-    out = decide_hc(hub, 4, 1, j=2)
+    out = hc(hub, 4, 1, 2)
     assert out.holds
     assert out.certificate.palette.sorted_members == (0,)
     assert out.certificate.E == frozenset({(0, 1), (0, 3), (1, 2), (2, 3)})
-    assert not decide_hc(delta_coloring(2), 4, 1, j=4).holds
+    assert not hc(delta_coloring(2), 4, 1, 4).holds
 
 
 def test_decide_wc_examples():
     d = delta_coloring(2)
-    out = decide_wc(d, 3, 1)
+    out = wc(d, 3, 1)
     assert out.holds
     assert out.certificate.X == (0, 1, 2)
     assert out.certificate.palette.sorted_members == (0,)
-    assert not decide_wc(d, 4, 1).holds
-    held = decide_wc(d, 4, 2)
+    assert not wc(d, 4, 1).holds
+    held = wc(d, 4, 2)
     assert held.holds
     assert held.certificate.palette.sorted_members == (0, 1)
-    assert decide_wc(constant_coloring(5, 0, 1), 5, 1).holds
+    assert wc(constant_coloring(5, 0, 1), 5, 1).holds
 
 
 def test_decide_parameter_validation():
     c = random_coloring(4, 2, seed=0)
     with pytest.raises(ValueError):
-        decide_classical(c, 1, 1)
+        classical(c, 1, 1)
+    with pytest.raises(ValueError, match=r"^need 2 <= m <= n, got m=5, n=4$"):
+        classical(c, 5, 1)
     with pytest.raises(ValueError):
-        decide_classical(c, 5, 1)
+        hc(c, 3, 1, 0)
     with pytest.raises(ValueError):
-        decide_hc(c, 3, 1, j=0)
-    with pytest.raises(ValueError):
-        decide_wc(c, 3, 0)
+        wc(c, 3, 0)
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(2, 7))
+    lam = draw(st.integers(1, 3))
+    npairs = n * (n - 1) // 2
+    colors = draw(st.lists(st.integers(0, lam - 1), min_size=npairs, max_size=npairs))
+    m = draw(st.integers(2, n))
+    mode = draw(st.sampled_from(("classical", "hc", "wc")))
+    j = draw(st.integers(1, m)) if mode == "hc" else None
+    return Coloring(n, lam, tuple(colors)), RelationQuery(mode, m, draw(st.integers(1, 2)), j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+def test_decide_matches_witness_oracles(instance):
+    c, query = instance
+    if query.mode == "wc":
+        pal, X, tried = wc_witness_bruteforce(c, query.m, query.kappa)
+    else:
+        j = query.m if query.j is None else query.j
+        pal, X, tried = hc_witness_bruteforce(c, query.m, query.kappa, j)
+    out = decide(c, query)
+    assert summary(out) == oracle_summary(pal, X, tried)
+    if out.holds and query.mode != "wc":
+        want = {(a, b) for a, b in combinations(X, 2) if c.color(a, b) in pal}
+        assert out.certificate.E == want
 
 
 def test_implication_chain_sampled():
@@ -137,10 +195,8 @@ def test_implication_chain_sampled():
         lam = rng.randint(1, 4)
         c = random_coloring(n, lam, seed=5000 + case)
         m = rng.randint(2, n)
-        classical = decide_classical(c, m, 1).holds
-        hc = decide_hc(c, m, 1, j=m).holds
-        wc = decide_wc(c, m, 1).holds
-        assert (not classical or hc) and (not hc or wc)
+        holds = [classical(c, m, 1).holds, hc(c, m, 1, m).holds, wc(c, m, 1).holds]
+        assert (not holds[0] or holds[1]) and (not holds[1] or holds[2])
 
 
 def test_verdicts_invariant_under_color_permutation():
@@ -153,9 +209,9 @@ def test_verdicts_invariant_under_color_permutation():
         perm = list(range(lam))
         rng.shuffle(perm)
         p = permute_colors(c, perm)
-        assert decide_classical(c, m, 1).holds == decide_classical(p, m, 1).holds
-        assert decide_hc(c, m, 1, j=max(2, m - 1)).holds == decide_hc(p, m, 1, j=max(2, m - 1)).holds
-        assert decide_wc(c, m, 1).holds == decide_wc(p, m, 1).holds
+        assert classical(c, m, 1).holds == classical(p, m, 1).holds
+        assert hc(c, m, 1, max(2, m - 1)).holds == hc(p, m, 1, max(2, m - 1)).holds
+        assert wc(c, m, 1).holds == wc(p, m, 1).holds
 
 
 def test_budget_monotonicity():
@@ -165,13 +221,13 @@ def test_budget_monotonicity():
         lam = rng.randint(2, 4)
         c = random_coloring(n, lam, seed=7000 + case)
         m = rng.randint(2, n)
-        if decide_wc(c, m, 1).holds:
-            assert decide_wc(c, m, 2).holds
-        if decide_classical(c, m, 1).holds:
-            assert decide_classical(c, m, 2).holds
+        if wc(c, m, 1).holds:
+            assert wc(c, m, 2).holds
+        if classical(c, m, 1).holds:
+            assert classical(c, m, 2).holds
         j = rng.randint(2, m)
-        if decide_hc(c, m, 1, j=j).holds:
-            assert decide_hc(c, m, 1, j=j - 1).holds
+        if hc(c, m, 1, j).holds:
+            assert hc(c, m, 1, j - 1).holds
 
 
 def test_enumerate_counts():
@@ -236,7 +292,7 @@ def test_ramsey_exceeds_cap():
     res = ramsey_number("classical", 3, 2, 1, 4)
     assert res.threshold is None
     assert res.extremal.n == 4
-    assert not decide_classical(res.extremal, 3, 1).holds
+    assert not classical(res.extremal, 3, 1).holds
 
 
 def test_ramsey_time_budget():
@@ -258,6 +314,12 @@ def test_ramsey_parameter_validation():
         ramsey_number("classical", 3, 2, 1, 2)
     with pytest.raises(ValueError):
         ramsey_number("nope", 3, 2, 1, 6)
+
+
+def test_ramsey_rejects_j_outside_hc():
+    for mode in ("classical", "wc"):
+        with pytest.raises(ValueError, match="j applies to hc mode only"):
+            ramsey_number(mode, 3, 2, 1, 6, j=2)
 
 
 def test_decide_dispatch():
@@ -334,10 +396,9 @@ def test_verdict_helper_agrees_with_decide(lam):
             for n in range(2, 6):
                 for c in enumerate_colorings_canonical(n, lam):
                     if n >= m:
-                        assert _satisfies(c, query, palettes) == decide(c, query).holds
+                        verdict = _witness(c, query, palettes) is not None
+                        assert verdict == decide(c, query).holds
                     if m - 1 <= n < 5 and fails(c, query):
                         for ext in top_extensions(c):
-                            assert (
-                                _satisfies(ext, query, palettes, top=True)
-                                == decide(ext, query).holds
-                            )
+                            verdict = _witness(ext, query, palettes, top=True) is not None
+                            assert verdict == decide(ext, query).holds

@@ -436,3 +436,16 @@ def test_j_default_does_not_leak_between_calls(delta_file, capsys):
     code, stdout, _ = run(capsys, *args)
     assert (code, stdout) == fresh_process(args)
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["classical", "wc"])
+def test_decide_rejects_j_outside_hc(delta_file, capsys, mode):
+    args = ("decide", delta_file, "--mode", mode, "--m", "3", "--palette-size", "1", "--j", "7")
+    assert run(capsys, *args) == (2, "", "error: j applies to hc mode only\n")
+
+
+@pytest.mark.parametrize("mode", ["classical", "wc"])
+def test_ramsey_rejects_j_outside_hc(capsys, mode):
+    args = ("ramsey", "--mode", mode, "--m", "3", "--colors", "2", "--palette-size", "1",
+            "--max-n", "6", "--j", "99")
+    assert run(capsys, *args) == (2, "", "error: j applies to hc mode only\n")

@@ -1,4 +1,4 @@
-"""Benchmark colorings, alignment, and sunflower extraction."""
+"""Benchmark colorings and sunflower extraction."""
 
 import random
 from itertools import combinations
@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from connramsey import (
-    StringVertexMap,
-    aligned,
+    RelationQuery,
     constant_coloring,
-    decide_classical,
+    decide,
     delta_coloring,
     find_delta_subsystem,
     hub_coloring,
@@ -19,25 +18,19 @@ from connramsey import (
     make_graph,
     random_coloring,
 )
-
-
-def test_string_vertex_map_round_trip():
-    svm = StringVertexMap(3)
-    for v in range(svm.n):
-        assert svm.vertex_of(svm.string_of(v)) == v
-    assert svm.string_of(5) == "101"
-    with pytest.raises(ValueError):
-        svm.string_of(8)
-    with pytest.raises(ValueError):
-        svm.vertex_of("10")
+from connramsey.generators import first_difference
 
 
 @given(st.integers(1, 6), st.data())
 def test_string_order_matches_vertex_order(ell, data):
-    svm = StringVertexMap(ell)
-    u = data.draw(st.integers(0, svm.n - 1))
-    v = data.draw(st.integers(0, svm.n - 1))
-    assert (u < v) == (svm.string_of(u) < svm.string_of(v))
+    # the smaller vertex has the 0 bit where the ell-bit strings first
+    # differ, so string order is vertex order
+    u = data.draw(st.integers(0, (1 << ell) - 2))
+    v = data.draw(st.integers(u + 1, (1 << ell) - 1))
+    at = first_difference(u, v, ell)
+    su, sv = format(u, f"0{ell}b"), format(v, f"0{ell}b")
+    assert su[:at] == sv[:at]
+    assert (su[at], sv[at]) == ("0", "1")
 
 
 def test_delta_coloring_examples():
@@ -53,10 +46,9 @@ def test_delta_coloring_examples():
 
 
 def test_delta_color_is_common_prefix_length():
-    svm = StringVertexMap(3)
     d = delta_coloring(3)
     for u, v in combinations(range(8), 2):
-        su, sv = svm.string_of(u), svm.string_of(v)
+        su, sv = format(u, "03b"), format(v, "03b")
         expected = next(i for i in range(3) if su[i] != sv[i])
         assert d.color(u, v) == expected
 
@@ -88,7 +80,7 @@ def test_hub_2_2_structure():
     # the crossing edges form a 4-cycle, which is 2-connected
     g = make_graph(range(4), crossing)
     assert kappa_connected_bruteforce(g, 2)
-    assert not decide_classical(hub, 3, 1).holds
+    assert not decide(hub, RelationQuery("classical", 3, 1)).holds
 
 
 def test_hub_1_1():
@@ -103,38 +95,6 @@ def test_hub_classes_interleaved():
     crossing = {(a, b) for a, b in combinations(range(5), 2) if hub.color(a, b) == 0}
     assert (0, 1) in crossing and (1, 2) in crossing and (3, 4) in crossing
     assert (0, 2) not in crossing and (1, 3) not in crossing
-
-
-def test_aligned_examples():
-    assert aligned([1, 3, 5], [1, 3, 5])
-    assert aligned([1, 3, 5], [2, 3, 9])
-    assert not aligned([1, 3], [3, 5])
-    assert not aligned([1, 2], [1, 2, 3])
-    assert aligned([], [])
-
-
-@given(st.lists(st.integers(0, 30), unique=True, max_size=8))
-def test_aligned_reflexive(xs):
-    xs = sorted(xs)
-    assert aligned(xs, xs)
-
-
-@given(
-    st.lists(st.integers(0, 30), unique=True, max_size=8),
-    st.lists(st.integers(0, 30), unique=True, max_size=8),
-)
-def test_aligned_symmetric(us, vs):
-    us, vs = sorted(us), sorted(vs)
-    assert aligned(us, vs) == aligned(vs, us)
-
-
-@given(st.lists(st.integers(0, 30), unique=True, min_size=1, max_size=8), st.integers(1, 5))
-def test_aligned_invariant_under_order_isomorphism(us, shift):
-    us = sorted(us)
-    vs = [x * 2 + shift for x in us]  # strictly increasing map applied to both
-    assert aligned(us, us) == aligned(vs, vs)
-    ws = sorted(set(us) | {max(us) + 1})[: len(us)]
-    assert aligned(us, ws) == aligned([x * 2 + shift for x in us], [x * 2 + shift for x in ws])
 
 
 def test_delta_subsystem_disjoint_family():

@@ -7,6 +7,8 @@ import pytest
 
 from connramsey import (
     Palette,
+    RelationQuery,
+    decide,
     is_wc_set,
     longest_wc_set,
     make_coloring,
@@ -14,8 +16,8 @@ from connramsey import (
     wc_order,
     wc_pair,
 )
-from connramsey.generators import constant_coloring, delta_coloring, random_coloring
-from oracles import max_wc_subset_exhaustive, wc_pairs_exhaustive
+from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
+from oracles import max_wc_subset_exhaustive, wc_pair_reference, wc_pairs_exhaustive
 
 
 def pal(*colors):
@@ -169,3 +171,40 @@ def test_palette_monotonicity():
         lo = set(wc_order(c, Palette(small)).pairs())
         hi = set(wc_order(c, Palette(big)).pairs())
         assert lo <= hi
+
+
+def path_corpus():
+    """Random colorings with n <= 30 and lambda <= 4, delta(5) and
+    hub(8, 8), each with its one-color palettes and one two-color one."""
+    rng = random.Random(9)
+    colorings = [
+        random_coloring(rng.randint(2, 30), rng.randint(1, 4), seed=400 + k) for k in range(12)
+    ]
+    colorings += [delta_coloring(5), hub_coloring(8, 8)]
+    for c in colorings:
+        palettes = [frozenset({x}) for x in range(c.lam)]
+        if c.lam >= 2:
+            palettes.append(frozenset(rng.sample(range(c.lam), 2)))
+        yield c, palettes
+
+
+def test_paths_equal_the_list_ordered_search():
+    # wc_pair, is_wc_set and wc decide keep the paths of the per-pair
+    # search, byte for byte
+    for c, palettes in path_corpus():
+        for members in palettes:
+            palette = Palette(members)
+            want = {
+                (a, b): wc_pair_reference(c, a, b, members) for a, b in combinations(range(c.n), 2)
+            }
+            assert {p: wc_pair(c, *p, palette) for p in want} == want
+            chain = longest_wc_set(c, palette)
+            cert = is_wc_set(c, chain, palette)
+            assert cert.paths == {p: want[p] for p in combinations(chain, 2)}
+        for m in (2, 3, c.n // 2, c.n):
+            out = decide(c, RelationQuery("wc", max(m, 2), 2))
+            if out.holds:
+                members = out.certificate.palette.members
+                assert out.certificate.paths == {
+                    p: wc_pair_reference(c, *p, members) for p in combinations(out.certificate.X, 2)
+                }
