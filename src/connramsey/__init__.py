@@ -13,8 +13,6 @@ from .arrows import (
 from .connectivity import (
     Graph,
     is_connected,
-    is_highly_connected,
-    kappa_connected_bruteforce,
     kappa_connected_fast,
     make_graph,
     read_graph,
@@ -55,17 +53,8 @@ from .ordinals import (
     ord_print,
     sample_universe,
 )
+from .verify import verify_certificate
 from .wellconn import WcOrder, is_wc_set, longest_wc_set, tree_check, wc_order, wc_pair
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # The verifier lives in the CLI module.  Importing it lazily keeps
-    # `python -m connramsey.cli` from finding that module already loaded
-    # by the package, which makes runpy warn on every run.
-    if name == "verify_certificate":
-        from .cli import verify_certificate
-
-        return verify_certificate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

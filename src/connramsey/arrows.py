@@ -4,10 +4,10 @@ One witness search serves every mode.  hc asks for a size-m set X whose
 palette-colored pairs form a j-connected graph on X (taking every
 palette-colored pair inside X is sound because adding edges never breaks
 j-connectedness).  Classical is hc with j = m: a finite graph is
-m-connected on m vertices exactly when it is complete, so j = m is a
-clique search.  wc asks for a size-m chain of the well-connectedness
-order under some palette, and its certificate carries one search-tree
-path per pair.
+m-connected on m vertices exactly when it is complete, and so is an
+(m - 1)-connected one, so every j >= m - 1 is a clique search.  wc asks
+for a size-m chain of the well-connectedness order under some palette,
+and its certificate carries one search-tree path per pair.
 
 Searches are deterministic: palettes are enumerated in lexicographic
 order of their ascending member tuples, vertex sets in lexicographic
@@ -126,53 +126,54 @@ def _find_clique(adj, cands: int, m: int) -> tuple[int, ...] | None:
 
 
 def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
-    """(palette, X) for the first of `palettes` under which c has a
-    witness, X the lexicographically least one; None when none has.
+    """(palette, X, adj) for the first of `palettes` under which c has a
+    witness, X the lexicographically least one and adj the palette
+    adjacency searched (None for wc); None when no palette has one.
 
-    j = m (classical, and hc by default) is the clique search.  j < m
-    sweeps the m-sets through the connectivity kernel.  wc takes the least
-    chain of the well-connectedness order.  With top=True the caller
-    knows that the coloring on vertices 0..n-2 has no witness, so every
-    classical or hc witness contains vertex n-1 and only those are tried;
-    wc keeps the full check.
+    j >= m - 1 (classical, and hc by default) is the clique search: an
+    (m - 1)-connected graph on m vertices is complete.  Smaller j sweeps
+    the m-sets through the connectivity kernel.  wc takes the least chain
+    of the well-connectedness order.  With top=True the caller knows that
+    the coloring on vertices 0..n-2 has no witness, so every classical or
+    hc witness contains vertex n-1 and only those are tried; wc keeps the
+    full check.
     """
     m = query.m
     if query.mode == "wc":
         for pal in palettes:
             X = chain_of_length(wc_order(c, pal), m)
             if X is not None:
-                return pal, X
+                return pal, X, None
         return None
     j = m if query.j is None else query.j
     last = c.n - 1
     masks = [1 << v for v in range(c.n)]
     below = masks[:last]
-    # The top vertex of a j-connected m-set has at least min(j, m - 1)
+    # Below j = m - 1, the top vertex of a j-connected m-set has at least j
     # neighbors inside it: otherwise the set is neither complete nor of
     # minimum degree j.
-    need = min(j, m - 1)
     for pal in palettes:
         adj = palette_adjacency(c, pal.members)
-        if j == m:
+        if j >= m - 1:
             if top:
                 X = _find_clique(adj, adj[last], m - 1)
                 if X is not None:
-                    return pal, X + (last,)
+                    return pal, X + (last,), adj
             else:
                 X = _find_clique(adj, (1 << c.n) - 1, m)
                 if X is not None:
-                    return pal, X
+                    return pal, X, adj
         elif top:
             near = adj[last]
             for rest in combinations(below, m - 1):
                 xmask = sum(rest) | masks[last]
-                if (xmask & near).bit_count() >= need and kappa_connected_mask(xmask, adj, j):
-                    return pal, tuple(bits(xmask))
+                if (xmask & near).bit_count() >= j and kappa_connected_mask(xmask, adj, j):
+                    return pal, tuple(bits(xmask)), adj
         else:
             for X in combinations(masks, m):
                 xmask = sum(X)
                 if kappa_connected_mask(xmask, adj, j):
-                    return pal, tuple(bits(xmask))
+                    return pal, tuple(bits(xmask)), adj
     return None
 
 
@@ -194,12 +195,11 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
         if hit is None:
             tried.append(pal)
             continue
-        X = hit[1]
+        _, X, adj = hit
         if query.mode == "wc":
             cert = is_wc_set(c, X, palette)
             assert cert is not None  # chain pairs are related by construction
             return _holds(cert)
-        adj = palette_adjacency(c, palette.members)
         edges = frozenset((a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1)
         j = query.m if query.j is None else query.j
         return _holds(HcCertificate(c.n, c.lam, X, palette, edges, j))

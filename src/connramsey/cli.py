@@ -1,5 +1,9 @@
 """Command line surface: generate, decide, search thresholds, verify.
 
+`verify` runs the independent verifier of `connramsey.verify`, which
+rechecks hc connectivity by counting disjoint paths pair by pair, in time
+polynomial in the certificate, and shares no code with the deciders.
+
 Exit codes: 0 when the queried relation holds or the certificate is
 valid, 1 when it fails or the certificate is rejected, 2 for usage, file,
 or parameter problems.  Standard output is one JSON document per
@@ -13,16 +17,12 @@ import argparse
 import functools
 import json
 import sys
-from itertools import combinations
 
 from .arrows import ResourceCapExceeded, decide, ramsey_number
-from .connectivity import Graph, kappa_connected_bruteforce, kappa_connected_fast, read_graph
+from .connectivity import kappa_connected_fast, read_graph
 from .core import (
-    Coloring,
-    HcCertificate,
     Palette,
     RelationQuery,
-    WcCertificate,
     certificate_from_json,
     certificate_to_json,
     read_coloring,
@@ -30,72 +30,8 @@ from .core import (
 )
 from .generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from .ordinals import coloring_from_csystem, ord_print, sample_universe
+from .verify import verify_certificate
 from .wellconn import is_wc_set
-
-
-def verify_certificate(cert, coloring: Coloring) -> str | None:
-    """Recheck a certificate from scratch against a coloring.
-
-    Independent of the decision procedures: wc paths are rechecked edge
-    by edge and hc connectivity goes through the brute-force removal
-    enumerator, never the min-cut path.  Returns None when valid,
-    otherwise a description of the first violation found.
-    """
-    if cert.n != coloring.n or cert.lam != coloring.lam:
-        return (
-            f"certificate is for n={cert.n} lambda={cert.lam}, "
-            f"coloring has n={coloring.n} lambda={coloring.lam}"
-        )
-    for k, v in enumerate(cert.X):
-        if not 0 <= v < cert.n:
-            return f"vertex {v} of X out of range"
-        if k and cert.X[k - 1] >= v:
-            return "X is not strictly ascending"
-    allowed = set(cert.palette.members)
-    for x in allowed:
-        if not 0 <= x < cert.lam:
-            return f"palette color {x} out of range"
-    if isinstance(cert, WcCertificate):
-        want = set(combinations(cert.X, 2))
-        have = set(cert.paths)
-        missing = want - have
-        if missing:
-            return f"missing path for pair {min(missing)}"
-        extra = have - want
-        if extra:
-            return f"unexpected path key {min(extra)} outside the pairs of X"
-        for (a, b) in sorted(want):
-            path = cert.paths[(a, b)]
-            if len(path) < 2 or path[0] != a or path[-1] != b:
-                return f"path for ({a}, {b}) does not run from {a} to {b}"
-            if len(set(path)) != len(path):
-                return f"path for ({a}, {b}) repeats a vertex"
-            for v in path:
-                if not 0 <= v < cert.n:
-                    return f"path for ({a}, {b}) leaves the vertex range"
-                if v < a:
-                    return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
-            for u, w in zip(path, path[1:]):
-                col = coloring.color(u, w)
-                if col not in allowed:
-                    return f"path edge ({u}, {w}) colored {col} outside the palette"
-        return None
-    if isinstance(cert, HcCertificate):
-        if cert.j < 1:
-            return f"certified connectivity {cert.j} must be >= 1"
-        xset = set(cert.X)
-        for a, b in sorted(cert.E):
-            if a >= b:
-                return f"edge ({a}, {b}) must have a < b"
-            if a not in xset or b not in xset:
-                return f"edge ({a}, {b}) leaves X"
-            col = coloring.color(a, b)
-            if col not in allowed:
-                return f"edge ({a}, {b}) colored {col} outside the palette"
-        if not kappa_connected_bruteforce(Graph(cert.X, cert.E), cert.j):
-            return f"(X, E) is not {cert.j}-connected"
-        return None
-    return f"unknown certificate type {type(cert).__name__}"
 
 
 def _emit(payload: dict) -> None:

@@ -19,15 +19,15 @@ separates that vertex from some non-neighbor.  So only the pairs (s, t)
 with s among the first kappa vertices and t a non-neighbor of s need a
 flow, O(kappa * n) of them instead of O(n^2).  Each is unit-capacity
 flow on the vertex-split graph, whose residual arcs are read from
-bitmasks of the current flow rather than stored.  The brute-force
-enumerator keeps the removal definition literal and serves as the oracle
-the fast path is tested against.
+bitmasks of the current flow rather than stored.  The tests check it
+against a brute-force removal enumerator in `tests/oracles.py`, which
+keeps the removal definition literal; the certificate verifier counts
+disjoint paths on its own and imports nothing from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import FormatError, bits, reach
 
@@ -134,30 +134,6 @@ def is_connected(g: Graph) -> bool:
     the empty and one-vertex graphs are connected."""
     vmask = _vertex_mask(g)
     return reach(vmask & -vmask, _adjacency(g), vmask) == vmask
-
-
-def kappa_connected_bruteforce(g: Graph, kappa: int) -> bool:
-    """Test every removal set Y with |Y| < kappa, exhaustively.
-
-    Removals that leave at most one vertex never disconnect.  kappa <= 0
-    is vacuously true (there is nothing to remove, not even the empty
-    set).
-    """
-    if kappa <= 0:
-        return True
-    adj = _adjacency(g)
-    vmask = _vertex_mask(g)
-    top = min(kappa - 1, len(g.vertices))
-    for size in range(top + 1):
-        for removal in combinations(g.vertices, size):
-            rmask = vmask
-            for y in removal:
-                rmask &= ~(1 << y)
-            if rmask.bit_count() <= 1:
-                continue
-            if reach(rmask & -rmask, adj, rmask) != rmask:
-                return False
-    return True
 
 
 def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
@@ -281,10 +257,3 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
 def kappa_connected_fast(g: Graph, kappa: int) -> bool:
     """Min-vertex-cut decision; agrees with the brute-force oracle."""
     return kappa_connected_mask(_vertex_mask(g), _adjacency(g), kappa)
-
-
-def is_highly_connected(g: Graph) -> bool:
-    """|G|-connected, evaluated through the brute-force removal test so
-    that the finite completeness characterization stays an observed fact
-    rather than a shortcut."""
-    return kappa_connected_bruteforce(g, len(g.vertices))

@@ -1,0 +1,130 @@
+"""Independent recheck of certificates against a coloring.
+
+The verifier shares nothing with the deciders beyond the data model in
+`core`: wc paths are rechecked edge by edge, and hc connectivity is
+re-derived from Menger's theorem (Menger, Fund. Math. 10, 1927).  A
+graph is j-connected exactly when every non-adjacent pair is joined by j
+internally vertex-disjoint paths.  So a complete (X, E) passes at once,
+and a non-complete one on at most j + 1 vertices fails, because a
+non-adjacent pair has at most j - 1 other vertices to route through.
+Each pair's paths are counted by augmenting paths on the vertex-split
+graph, kept as a residual dict-of-dicts, which stops at j.  That is
+polynomial in |X|, where removing every set of fewer than j vertices is
+exponential in j.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from itertools import combinations
+
+from .core import Coloring, HcCertificate, WcCertificate
+
+
+def _disjoint_paths_at_least(nbrs: dict[int, set[int]], s: int, t: int, k: int) -> bool:
+    """At least k internally vertex-disjoint s-t paths, s and t non-adjacent.
+
+    Each vertex v is an entry (v, 0) and an exit (v, 1) joined by an arc
+    of capacity one, and each edge vw gives the arcs (v, 1) -> (w, 0) and
+    (w, 1) -> (v, 0); the flow runs from s's exit to t's entry.  Every arc
+    is stored with its reverse, which starts at capacity zero, so a later
+    path can cancel flow.
+    """
+    residual = {(v, side): {} for v in nbrs for side in (0, 1)}
+
+    def arc(x, y):
+        residual[x][y] = 1
+        residual[y].setdefault(x, 0)
+
+    for v, ws in nbrs.items():
+        if v != s and v != t:
+            arc((v, 0), (v, 1))
+        for w in ws:
+            arc((v, 1), (w, 0))
+    source, sink = (s, 1), (t, 0)
+    for _ in range(k):
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            x = queue.popleft()
+            for y, cap in residual[x].items():
+                if cap and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            return False
+        y = sink
+        while y != source:
+            x = parent[y]
+            residual[x][y] -= 1
+            residual[y][x] += 1
+            y = x
+    return True
+
+
+def verify_certificate(cert, coloring: Coloring) -> str | None:
+    """Recheck a certificate from scratch against a coloring.
+
+    Independent of the decision procedures: wc paths are rechecked edge
+    by edge, and hc connectivity is counted pair by pair in disjoint
+    paths, never through the decider's flow kernel.  Returns None when
+    valid, otherwise a description of the first violation found.
+    """
+    if cert.n != coloring.n or cert.lam != coloring.lam:
+        return (
+            f"certificate is for n={cert.n} lambda={cert.lam}, "
+            f"coloring has n={coloring.n} lambda={coloring.lam}"
+        )
+    for k, v in enumerate(cert.X):
+        if not 0 <= v < cert.n:
+            return f"vertex {v} of X out of range"
+        if k and cert.X[k - 1] >= v:
+            return "X is not strictly ascending"
+    allowed = set(cert.palette.members)
+    for x in allowed:
+        if not 0 <= x < cert.lam:
+            return f"palette color {x} out of range"
+    if isinstance(cert, WcCertificate):
+        want = set(combinations(cert.X, 2))
+        have = set(cert.paths)
+        missing = want - have
+        if missing:
+            return f"missing path for pair {min(missing)}"
+        extra = have - want
+        if extra:
+            return f"unexpected path key {min(extra)} outside the pairs of X"
+        for (a, b) in sorted(want):
+            path = cert.paths[(a, b)]
+            if len(path) < 2 or path[0] != a or path[-1] != b:
+                return f"path for ({a}, {b}) does not run from {a} to {b}"
+            if len(set(path)) != len(path):
+                return f"path for ({a}, {b}) repeats a vertex"
+            for v in path:
+                if not 0 <= v < cert.n:
+                    return f"path for ({a}, {b}) leaves the vertex range"
+                if v < a:
+                    return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
+            for u, w in zip(path, path[1:]):
+                col = coloring.color(u, w)
+                if col not in allowed:
+                    return f"path edge ({u}, {w}) colored {col} outside the palette"
+        return None
+    if isinstance(cert, HcCertificate):
+        if cert.j < 1:
+            return f"certified connectivity {cert.j} must be >= 1"
+        nbrs: dict[int, set[int]] = {v: set() for v in cert.X}
+        for a, b in sorted(cert.E):
+            if a >= b:
+                return f"edge ({a}, {b}) must have a < b"
+            if a not in nbrs or b not in nbrs:
+                return f"edge ({a}, {b}) leaves X"
+            col = coloring.color(a, b)
+            if col not in allowed:
+                return f"edge ({a}, {b}) colored {col} outside the palette"
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for a, b in combinations(cert.X, 2):
+            if b not in nbrs[a] and not _disjoint_paths_at_least(nbrs, a, b, cert.j):
+                return f"(X, E) is not {cert.j}-connected"
+        return None
+    return f"unknown certificate type {type(cert).__name__}"

@@ -3,15 +3,47 @@
 Everything here re-derives answers by exhaustive enumeration so library
 results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
-sweeps instead of chain dynamic programming and clique search.  The
-witness oracles lean only on the brute-force removal enumerator.  Also
-here: the color relabeling the tests use, and the per-pair list search
-whose paths the library's wc certificates must reproduce byte for byte.
+sweeps instead of chain dynamic programming and clique search, and a
+brute-force removal enumerator instead of flows or path counting.  The
+hc witness oracle leans only on that enumerator.  Also here: the color
+relabeling the tests use, and the per-pair list search whose paths the
+library's wc certificates must reproduce byte for byte.
 """
 
 from itertools import combinations
 
-from connramsey import Coloring, Graph, kappa_connected_bruteforce
+from connramsey import Coloring, Graph
+
+
+def kappa_connected_bruteforce(g, kappa):
+    """Test every removal set Y with |Y| < kappa, exhaustively.
+
+    Removals that leave at most one vertex never disconnect.  kappa <= 0
+    is vacuously true (there is nothing to remove, not even the empty
+    set).  Each remainder is searched from its least vertex.
+    """
+    if kappa <= 0:
+        return True
+    adj = {v: 0 for v in g.vertices}
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    everything = sum(1 << v for v in g.vertices)
+    for size in range(min(kappa - 1, len(g.vertices)) + 1):
+        for removal in combinations(g.vertices, size):
+            left = everything - sum(1 << y for y in removal)
+            if left.bit_count() <= 1:
+                continue
+            seen = frontier = left & -left
+            while frontier:
+                v = frontier.bit_length() - 1
+                frontier ^= 1 << v
+                new = adj[v] & left & ~seen
+                seen |= new
+                frontier |= new
+            if seen != left:
+                return False
+    return True
 
 
 def wc_path_exists(c, a, b, members):

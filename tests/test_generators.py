@@ -14,11 +14,11 @@ from connramsey import (
     delta_coloring,
     find_delta_subsystem,
     hub_coloring,
-    kappa_connected_bruteforce,
     make_graph,
     random_coloring,
 )
 from connramsey.generators import first_difference
+from oracles import kappa_connected_bruteforce
 
 
 @given(st.integers(1, 6), st.data())
