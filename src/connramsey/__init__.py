@@ -30,13 +30,11 @@ from .core import (
     certificate_to_json,
     make_coloring,
     read_coloring,
-    restrict_coloring,
     write_coloring,
 )
 from .generators import (
     constant_coloring,
     delta_coloring,
-    find_delta_subsystem,
     hub_coloring,
     random_coloring,
 )

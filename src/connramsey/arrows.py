@@ -5,9 +5,13 @@ palette-colored pairs form a j-connected graph on X (taking every
 palette-colored pair inside X is sound because adding edges never breaks
 j-connectedness).  Classical is hc with j = m: a finite graph is
 m-connected on m vertices exactly when it is complete, and so is an
-(m - 1)-connected one, so every j >= m - 1 is a clique search.  wc asks
-for a size-m chain of the well-connectedness order under some palette,
-and its certificate carries one search-tree path per pair.
+(m - 1)-connected one, so every j >= m - 1 is a clique search.  Below
+that, a j-connected m-set has minimum degree at least j, so each member misses at
+most m - 1 - j others: the search grows X lexicographically, prunes with
+that allowance and with j-core peeling, and runs the connectivity kernel
+only on full m-sets.  wc asks for a size-m chain of the
+well-connectedness order under some palette, and its certificate carries
+one search-tree path per pair.
 
 Searches are deterministic: palettes are enumerated in lexicographic
 order of their ascending member tuples, vertex sets in lexicographic
@@ -125,17 +129,84 @@ def _find_clique(adj, cands: int, m: int) -> tuple[int, ...] | None:
     return tuple(out) if grow(cands, m) else None
 
 
+def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
+    """Mask of the lexicographically least m-set that contains the vertex
+    mask X, takes its other members from the mask `cands` and is
+    j-connected in `adj`, or 0.  For 1 <= j < m - 1.
+
+    Branch and bound in the shape of _find_clique.  A j-connected m-set
+    has minimum degree at least j, so each member misses at most
+    m - 1 - j others.  Before branching, a node drops every candidate that
+    already misses more than that many members of X, keeps only the
+    neighbors of a member of X whose allowance is used up, and peels every
+    candidate with fewer than j neighbors among X and the candidates, to a
+    fixed point; it fails when a member of X has fewer than j there.  Only
+    full m-sets reach the connectivity kernel.
+    """
+    budget = m - 1 - j
+
+    def grow(X: int, cands: int, need: int) -> int:
+        rest = X
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            # X & ~row holds the member itself besides those it misses.
+            if (X & ~row).bit_count() > budget:
+                cands &= row
+        if need == 1:
+            # A candidate within the allowance completes a set of minimum
+            # degree j; the kernel decides the rest.
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                miss = (X & ~adj[low.bit_length() - 1]).bit_count()
+                if miss <= budget and kappa_connected_mask(X | low, adj, j):
+                    return X | low
+            return 0
+        pool = X | cands
+        while True:
+            drop = 0
+            rest = cands
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                if (X & ~row).bit_count() > budget or (row & pool).bit_count() < j:
+                    drop |= low
+            if not drop:
+                break
+            cands ^= drop
+            pool ^= drop
+        rest = X
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & pool).bit_count() < j:
+                return 0
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            hit = grow(X | low, cands, need - 1)
+            if hit:
+                return hit
+        return 0
+
+    return grow(X, cands, m - X.bit_count())
+
+
 def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
     """(palette, X, adj) for the first of `palettes` under which c has a
     witness, X the lexicographically least one and adj the palette
     adjacency searched (None for wc); None when no palette has one.
 
     j >= m - 1 (classical, and hc by default) is the clique search: an
-    (m - 1)-connected graph on m vertices is complete.  Smaller j sweeps
-    the m-sets through the connectivity kernel.  wc takes the least chain
-    of the well-connectedness order.  With top=True the caller knows that
-    the coloring on vertices 0..n-2 has no witness, so every classical or
-    hc witness contains vertex n-1 and only those are tried; wc keeps the
+    (m - 1)-connected graph on m vertices is complete.  Smaller j is the
+    minimum-degree branch and bound of _find_connected, which hands only
+    full m-sets to the connectivity kernel.  wc takes the least chain of
+    the well-connectedness order.  With top=True the caller knows that the
+    coloring on vertices 0..n-2 has no witness, so every classical or hc
+    witness contains vertex n-1 and only those are tried; wc keeps the
     full check.
     """
     m = query.m
@@ -147,11 +218,6 @@ def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
         return None
     j = m if query.j is None else query.j
     last = c.n - 1
-    masks = [1 << v for v in range(c.n)]
-    below = masks[:last]
-    # Below j = m - 1, the top vertex of a j-connected m-set has at least j
-    # neighbors inside it: otherwise the set is neither complete nor of
-    # minimum degree j.
     for pal in palettes:
         adj = palette_adjacency(c, pal.members)
         if j >= m - 1:
@@ -163,17 +229,11 @@ def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
                 X = _find_clique(adj, (1 << c.n) - 1, m)
                 if X is not None:
                     return pal, X, adj
-        elif top:
-            near = adj[last]
-            for rest in combinations(below, m - 1):
-                xmask = sum(rest) | masks[last]
-                if (xmask & near).bit_count() >= j and kappa_connected_mask(xmask, adj, j):
-                    return pal, tuple(bits(xmask)), adj
         else:
-            for X in combinations(masks, m):
-                xmask = sum(X)
-                if kappa_connected_mask(xmask, adj, j):
-                    return pal, tuple(bits(xmask)), adj
+            seed = 1 << last if top else 0
+            xmask = _find_connected(adj, seed, (1 << c.n) - 1 - seed, m, j)
+            if xmask:
+                return pal, tuple(bits(xmask)), adj
     return None
 
 

@@ -112,23 +112,6 @@ def make_coloring(n: int, lam: int, entries) -> Coloring:
     return Coloring(n, lam, tuple(slots))  # type: ignore[arg-type]
 
 
-def restrict_coloring(c: Coloring, universe) -> tuple[Coloring, tuple[int, ...]]:
-    """Coloring induced on an ascending vertex list, plus the index map.
-
-    New pair (i, j) receives the color of (universe[i], universe[j]), so
-    relative vertex order is preserved; the returned tuple maps new index
-    i back to universe[i].
-    """
-    uni = tuple(universe)
-    for k, v in enumerate(uni):
-        if not 0 <= v < c.n:
-            raise ValueError(f"vertex {v} out of range for n={c.n}")
-        if k and uni[k - 1] >= v:
-            raise ValueError("vertex list must be strictly ascending")
-    cols = tuple(c.color(uni[i], uni[j]) for i, j in combinations(range(len(uni)), 2))
-    return Coloring(len(uni), c.lam, cols), uni
-
-
 def canonical_color_form(c: Coloring) -> Coloring:
     """Relabel colors by first appearance in lexicographic pair order.
 
@@ -216,7 +199,7 @@ def read_coloring(text: str) -> Coloring:
         if len(parts) != 3:
             raise FormatError(f"malformed pair line {ln!r}")
         try:
-            a, b, col = (int(p) for p in parts)
+            a, b, col = map(int, parts)
         except ValueError as exc:
             raise FormatError(f"malformed pair line {ln!r}") from exc
         if a >= b:
@@ -351,9 +334,11 @@ def _as_int(doc, key):
 
 
 def _as_int_list(v, what):
-    if not isinstance(v, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in v):
+    # JSON yields no int subclass but bool, so an exact type test rejects
+    # bools and the list needs no copy.
+    if not isinstance(v, list) or not all(type(x) is int for x in v):
         raise FormatError(f"certificate field {what!r} must be a list of integers")
-    return [int(x) for x in v]
+    return v
 
 
 def _unique_keys(pairs):

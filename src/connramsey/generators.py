@@ -1,10 +1,9 @@
-"""Constructors for benchmark colorings and a set-family utility.
+"""Constructors for benchmark colorings.
 
 The first-difference coloring on bit strings keeps monochromatic and
-small-palette structure provably small, the hub coloring manufactures
-instances where a one-color palette already carries a well-spread
-connected subgraph, and the sunflower search is a combinatorial piece of
-hub-style constructions.
+small-palette structure provably small, and the hub coloring
+manufactures instances where a one-color palette already carries a
+well-spread connected subgraph.
 """
 
 from __future__ import annotations
@@ -87,50 +86,3 @@ def hub_coloring(n0: int, n1: int) -> Coloring:
         else:
             cols.append(1 + first_difference(ip, iq, bits[cp]))
     return Coloring(n0 + n1, lam, tuple(cols))
-
-
-def find_delta_subsystem(family, t: int):
-    """Largest subfamily of >= t equal-size sets whose pairwise
-    intersections all equal one root.
-
-    The search is exhaustive over subfamilies (largest size first,
-    lexicographic index order within a size), so None means no such
-    subfamily exists.  Returns (subfamily, root) on success.
-    """
-    fam = [frozenset(s) for s in family]
-    if len({len(s) for s in fam}) > 1:
-        raise ValueError("family members must all have the same size")
-    if t < 2:
-        raise ValueError("need target size t >= 2")
-    for size in range(len(fam), t - 1, -1):
-        hit = _delta_search(fam, size)
-        if hit is not None:
-            chosen, root = hit
-            return tuple(fam[i] for i in chosen), root
-    return None
-
-
-def _delta_search(fam, size):
-    n = len(fam)
-
-    def extend(chosen: list[int], root):
-        if len(chosen) == size:
-            return tuple(chosen), root
-        start = chosen[-1] + 1 if chosen else 0
-        for i in range(start, n):
-            if n - i < size - len(chosen):
-                break
-            cand = fam[i]
-            if not chosen:
-                result = extend([i], None)
-            elif root is None:
-                result = extend(chosen + [i], fam[chosen[0]] & cand)
-            elif all(fam[m] & cand == root for m in chosen):
-                result = extend(chosen + [i], root)
-            else:
-                result = None
-            if result is not None:
-                return result
-        return None
-
-    return extend([], None)

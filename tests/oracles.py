@@ -5,14 +5,18 @@ results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
 sweeps instead of chain dynamic programming and clique search, and a
 brute-force removal enumerator instead of flows or path counting.  The
-hc witness oracle leans only on that enumerator.  Also here: the color
-relabeling the tests use, and the per-pair list search whose paths the
-library's wc certificates must reproduce byte for byte.
+hc witness oracle leans only on that enumerator.  The hc subset sweep is
+the exception: it shares the connectivity kernel and checks only the
+pruning of the witness search.  Also here: the color relabeling the tests
+use, and the per-pair list search whose paths the library's wc
+certificates must reproduce byte for byte.
 """
 
 from itertools import combinations
 
 from connramsey import Coloring, Graph
+from connramsey.connectivity import kappa_connected_mask
+from connramsey.core import bits, palette_adjacency
 
 
 def kappa_connected_bruteforce(g, kappa):
@@ -166,6 +170,27 @@ def hc_witness_bruteforce(c, m, kappa, j):
         return kappa_connected_bruteforce(Graph(X, edges), j)
 
     return _first_witness(c, m, kappa, accepts)
+
+
+def hc_witness_sweep(c, m, j, palettes, top=False):
+    """(palette, X) for the first of `palettes` with a j-connected m-set,
+    X the lexicographically least, by sweeping every m-set through the
+    connectivity kernel; None when there is none.  With top=True only
+    the m-sets that contain vertex n-1 are swept.  It is the library's
+    hc search below j = m - 1 without its pruning, so it checks that the
+    pruning loses no witness and keeps the least one.
+    """
+    masks = [1 << v for v in range(c.n)]
+    for pal in palettes:
+        adj = palette_adjacency(c, pal.members)
+        if top:
+            sets = (rest + (masks[-1],) for rest in combinations(masks[:-1], m - 1))
+        else:
+            sets = combinations(masks, m)
+        for X in sets:
+            if kappa_connected_mask(sum(X), adj, j):
+                return pal, tuple(bits(sum(X)))
+    return None
 
 
 def wc_witness_bruteforce(c, m, kappa):

@@ -17,11 +17,12 @@ from connramsey import (
     ramsey_number,
 )
 from connramsey.arrows import _extend_levels, _maximal_palettes, _scan_levels, _witness
-from connramsey.core import Coloring
+from connramsey.core import AT_MOST_K, Coloring, Palette
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import (
     has_monochromatic_m_set,
     hc_witness_bruteforce,
+    hc_witness_sweep,
     permute_colors,
     wc_witness_bruteforce,
 )
@@ -402,3 +403,45 @@ def test_verdict_helper_agrees_with_decide(lam):
                         for ext in top_extensions(c):
                             verdict = _witness(ext, query, palettes, top=True) is not None
                             assert verdict == decide(ext, query).holds
+
+
+def witness_summary(hit):
+    return None if hit is None else hit[:2]
+
+
+def test_pruned_hc_search_matches_subset_sweep():
+    # Below j = m - 1 the witness search prunes by minimum degree; the
+    # unpruned subset sweep must find the same palette and least X, over
+    # all m-sets and over those that contain the top vertex.
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        lam = rng.randint(1, 4)
+        kappa = rng.randint(1, 2)
+        m = rng.randint(3, n)
+        j = rng.randint(1, m - 2)
+        # Uneven color weights give dense and sparse palettes alike.
+        weights = [rng.random() for _ in range(lam)]
+        c = Coloring(n, lam, tuple(rng.choices(range(lam), weights, k=n * (n - 1) // 2)))
+        query = RelationQuery("hc", m, kappa, j)
+        palettes = [Palette(frozenset(p), AT_MOST_K, kappa) for p in palette_tuples(lam, kappa)]
+        for top in (False, True):
+            want = hc_witness_sweep(c, m, j, palettes, top=top)
+            assert witness_summary(_witness(c, query, palettes, top=top)) == want
+
+
+def test_pruned_hc_search_on_every_extension_of_failing_colorings():
+    # The extension search's own inputs: every one-vertex extension, up to
+    # 6 vertices, of every canonical coloring that fails, as the subset
+    # sweep decides it.
+    for m in (3, 4, 5, 6):
+        for j in range(1, m - 1):
+            query = RelationQuery("hc", m, 1, j)
+            palettes = _maximal_palettes(2, 1)
+            for n in range(m - 1, 6):
+                for c in enumerate_colorings_canonical(n, 2):
+                    if n >= m and hc_witness_sweep(c, m, j, palettes) is not None:
+                        continue
+                    for ext in top_extensions(c):
+                        want = hc_witness_sweep(ext, m, j, palettes, top=True)
+                        assert witness_summary(_witness(ext, query, palettes, top=True)) == want

@@ -397,6 +397,20 @@ def fresh_process(argv, **env):
     return done.returncode, done.stdout
 
 
+def test_decide_hc_delta5_finishes(tmp_path):
+    # Each one-color graph of delta(5) has C(32, 10) 10-sets, too many to
+    # sweep; the minimum-degree bounds refute all five palettes at once.
+    # The subprocess timeout turns a search that hangs into a failure.
+    col = tmp_path / "delta5.col"
+    col.write_text(write_coloring(delta_coloring(5)))
+    argv = ["decide", str(col), "--mode", "hc", "--m", "10", "--j", "6", "--palette-size", "1"]
+    assert fresh_process(argv) == (
+        1,
+        '{"exhausted_palettes":[[0],[1],[2],[3],[4]],"m":10,"mode":"hc",'
+        '"palette_size":1,"verdict":"fails"}\n',
+    )
+
+
 def test_module_entry_point_runs_without_warnings():
     # The package must not import connramsey.cli itself, or runpy warns
     # that the module is already loaded before it runs it as __main__.

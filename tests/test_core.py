@@ -18,7 +18,6 @@ from connramsey import (
     certificate_to_json,
     make_coloring,
     read_coloring,
-    restrict_coloring,
     write_coloring,
 )
 from connramsey.core import AT_MOST_K, INITIAL_SEGMENT, pair_index
@@ -70,38 +69,6 @@ def test_make_coloring_color_out_of_range():
 def test_make_coloring_degenerate_pair():
     with pytest.raises(ValueError, match="degenerate"):
         make_coloring(2, 2, [(1, 1, 0)])
-
-
-def test_restrict_identity():
-    c = random_coloring(5, 3, seed=1)
-    r, index_map = restrict_coloring(c, range(5))
-    assert r == c
-    assert index_map == (0, 1, 2, 3, 4)
-
-
-def test_restrict_single_pair():
-    c = random_coloring(5, 3, seed=2)
-    r, index_map = restrict_coloring(c, [1, 3])
-    assert r.n == 2
-    assert r.color(0, 1) == c.color(1, 3)
-    assert index_map == (1, 3)
-
-
-def test_restrict_rejects_descending():
-    c = random_coloring(5, 3, seed=3)
-    with pytest.raises(ValueError, match="ascending"):
-        restrict_coloring(c, [3, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        restrict_coloring(c, [0, 7])
-
-
-def test_restrict_preserves_colors():
-    c = random_coloring(8, 4, seed=4)
-    universe = (0, 2, 3, 6, 7)
-    r, _ = restrict_coloring(c, universe)
-    for i in range(len(universe)):
-        for j in range(i + 1, len(universe)):
-            assert r.color(i, j) == c.color(universe[i], universe[j])
 
 
 def test_permute_identity_and_swap():

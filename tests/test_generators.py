@@ -1,6 +1,5 @@
-"""Benchmark colorings and sunflower extraction."""
+"""Benchmark colorings."""
 
-import random
 from itertools import combinations
 
 import pytest
@@ -12,7 +11,6 @@ from connramsey import (
     constant_coloring,
     decide,
     delta_coloring,
-    find_delta_subsystem,
     hub_coloring,
     make_graph,
     random_coloring,
@@ -95,47 +93,3 @@ def test_hub_classes_interleaved():
     crossing = {(a, b) for a, b in combinations(range(5), 2) if hub.color(a, b) == 0}
     assert (0, 1) in crossing and (1, 2) in crossing and (3, 4) in crossing
     assert (0, 2) not in crossing and (1, 3) not in crossing
-
-
-def test_delta_subsystem_disjoint_family():
-    fam = [{1, 2}, {3, 4}, {5, 6}]
-    sub, root = find_delta_subsystem(fam, 3)
-    assert len(sub) == 3 and root == frozenset()
-
-
-def test_delta_subsystem_identical_family():
-    fam = [{1, 2}, {1, 2}, {1, 2}, {1, 2}]
-    sub, root = find_delta_subsystem(fam, 2)
-    assert len(sub) == 4  # whole family
-    assert root == frozenset({1, 2})
-
-
-def test_delta_subsystem_mixed_family():
-    fam = [{1, 2}, {1, 3}, {1, 4}, {2, 3}]
-    sub, root = find_delta_subsystem(fam, 3)
-    assert sub == (frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4}))
-    assert root == frozenset({1})
-
-
-def test_delta_subsystem_not_found():
-    fam = [{1, 2}, {2, 3}, {3, 1}]
-    assert find_delta_subsystem(fam, 3) is None
-
-
-def test_delta_subsystem_validation():
-    with pytest.raises(ValueError, match="same size"):
-        find_delta_subsystem([{1}, {1, 2}], 2)
-    with pytest.raises(ValueError, match="t >= 2"):
-        find_delta_subsystem([{1}, {2}], 1)
-
-
-def test_delta_subsystem_result_verifies():
-    rng = random.Random(0)
-    for _ in range(30):
-        fam = [frozenset(rng.sample(range(8), 3)) for _ in range(7)]
-        hit = find_delta_subsystem(fam, 3)
-        if hit is None:
-            continue
-        sub, root = hit
-        for a, b in combinations(sub, 2):
-            assert a & b == root
