@@ -4,7 +4,9 @@
 For each requested mode this scans target sizes m and reports the least
 vertex count n at which every coloring (one representative per
 color-permutation orbit) satisfies the relation, together with the
-extremal coloring one step below.
+extremal coloring one step below.  hc rows sweep the connectivity
+demand j = 1..m-2 and name it; at j >= m-1 an hc set is a clique, so
+those cells are the classical rows.
 
 Examples:
     python3 scripts/run_thresholds.py --colors 2 --palette-size 1 --max-m 3 --max-n 6
@@ -35,25 +37,27 @@ def main() -> int:
     rows = []
     for mode in args.modes:
         for m in range(args.min_m, args.max_m + 1):
-            start = time.perf_counter()
-            result = ramsey_number(
-                mode, m, args.colors, args.palette_size, args.max_n,
-                j=m if mode == "hc" else None,
-                time_limit=args.time_limit,
-            )
-            elapsed = time.perf_counter() - start
-            row = {
-                "mode": mode,
-                "m": m,
-                "colors": args.colors,
-                "palette_size": args.palette_size,
-                "threshold": result.threshold,
-                "seconds": round(elapsed, 2),
-            }
-            if args.show_extremal:
-                row["extremal"] = write_coloring(result.extremal)
-            rows.append(row)
-            print(json.dumps(row, sort_keys=True))
+            for j in range(1, m - 1) if mode == "hc" else [None]:
+                start = time.perf_counter()
+                result = ramsey_number(
+                    mode, m, args.colors, args.palette_size, args.max_n,
+                    j=j, time_limit=args.time_limit,
+                )
+                elapsed = time.perf_counter() - start
+                row = {
+                    "mode": mode,
+                    "m": m,
+                    "colors": args.colors,
+                    "palette_size": args.palette_size,
+                    "threshold": result.threshold,
+                    "seconds": round(elapsed, 2),
+                }
+                if j is not None:
+                    row["j"] = j
+                if args.show_extremal:
+                    row["extremal"] = write_coloring(result.extremal)
+                rows.append(row)
+                print(json.dumps(row, sort_keys=True))
     found = [r["threshold"] for r in rows if r["threshold"] is not None]
     print(f"# {len(found)}/{len(rows)} thresholds found within max_n={args.max_n}",
           file=sys.stderr)

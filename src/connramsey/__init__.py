@@ -12,7 +12,6 @@ from .arrows import (
 )
 from .connectivity import (
     Graph,
-    is_connected,
     kappa_connected_fast,
     make_graph,
     read_graph,

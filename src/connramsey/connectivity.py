@@ -13,21 +13,27 @@ The fast decision procedure rests on the equivalence
                           vertices, and every non-adjacent pair has
                           minimum vertex cut >= kappa
 
-and on Even's reduction of its last clause (Even, SIAM J. Comput. 4,
-1975): a cut S with |S| < kappa misses one of any kappa vertices, and S
-separates that vertex from some non-neighbor.  So only the pairs (s, t)
-with s among the first kappa vertices and t a non-neighbor of s need a
-flow, O(kappa * n) of them instead of O(n^2).  Each is unit-capacity
-flow on the vertex-split graph, whose residual arcs are read from
-bitmasks of the current flow rather than stored.  The tests check it
-against a brute-force removal enumerator in `tests/oracles.py`, which
-keeps the removal definition literal; the certificate verifier counts
-disjoint paths on its own and imports nothing from here.
+and on the Esfahanian-Hakimi reduction of its last clause (Esfahanian
+and Hakimi, Networks 14, 1984), which flows from one source where
+Even's reduction (Even, SIAM J. Comput. 4, 1975) flows from kappa.
+Take a least-degree vertex v and a least cut S with |S| < kappa.  If S
+misses v, it separates v from a non-neighbor.  If S holds v, then v,
+like every vertex of a least cut, has a neighbor in each component of
+G - S, so S separates two non-adjacent neighbors of v.  So only those
+pairs need a flow, and a pair with kappa common neighbors needs none:
+those give kappa internally disjoint two-edge paths.  Each flow is
+unit-capacity flow on the vertex-split graph, whose residual arcs are
+read from bitmasks of the current flow rather than stored.  The tests
+check it against a brute-force removal enumerator in `tests/oracles.py`,
+which keeps the removal definition literal, and against the certificate
+verifier, which counts disjoint paths on its own and imports nothing
+from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import FormatError, bits, reach
 
@@ -129,13 +135,6 @@ def _vertex_mask(g: Graph) -> int:
     return m
 
 
-def is_connected(g: Graph) -> bool:
-    """Every two vertices joined by a path of pairwise distinct vertices;
-    the empty and one-vertex graphs are connected."""
-    vmask = _vertex_mask(g)
-    return reach(vmask & -vmask, _adjacency(g), vmask) == vmask
-
-
 def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
     """At least k internally disjoint s-t paths (s, t non-adjacent).
 
@@ -223,10 +222,10 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
 
     Neighbor masks may mention vertices outside vmask; they are ignored.
     After the completeness, size, connectivity and minimum-degree gates,
-    Even's test flows only from the first kappa vertices of vmask, each to
-    its non-neighbors: any cut smaller than kappa misses one of those
-    sources and separates it from a non-neighbor.  A pair of two sources
-    is flowed once.
+    the Esfahanian-Hakimi plan flows only from a least-degree vertex v
+    (the lowest on ties) to each of its non-neighbors, and between each
+    two non-adjacent neighbors of v, skipping a pair with kappa common
+    neighbors in vmask.
     """
     if kappa <= 0:
         return True
@@ -242,15 +241,21 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
         return False
     if reach(vmask & -vmask, adj, vmask) != vmask:
         return False
-    if any((adj[v] & vmask).bit_count() < kappa for v in verts):
+    v = min(verts, key=lambda u: (adj[u] & vmask).bit_count())
+    near = adj[v] & vmask
+    if near.bit_count() < kappa:
         # A low-degree vertex has a non-neighbor; its neighborhood is a cut.
         return False
-    done = 0
-    for s in verts[:kappa]:
-        done |= 1 << s
-        for t in bits(vmask & ~adj[s] & ~done):
-            if not _cut_at_least(vmask, adj, s, t, kappa):
-                return False
+    pairs = chain(
+        ((v, t) for t in bits(vmask & ~near & ~(1 << v))),
+        # -(2 << x) keeps the bits above x, so each pair comes once.
+        ((x, y) for x in bits(near) for y in bits(near & ~adj[x] & -(2 << x))),
+    )
+    for s, t in pairs:
+        # kappa common neighbors are kappa disjoint two-edge paths.
+        common = (adj[s] & adj[t] & vmask).bit_count()
+        if common < kappa and not _cut_at_least(vmask, adj, s, t, kappa):
+            return False
     return True
 
 

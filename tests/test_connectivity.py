@@ -8,13 +8,13 @@ import pytest
 from connramsey import (
     FormatError,
     Graph,
-    is_connected,
     kappa_connected_fast,
     make_graph,
     read_graph,
     write_graph,
 )
 from connramsey.connectivity import _adjacency, _cut_at_least, _vertex_mask, kappa_connected_mask
+from connramsey.verify import _disjoint_paths_at_least
 from oracles import all_graphs_on, is_complete, kappa_connected_bruteforce, min_vertex_separator
 
 
@@ -36,10 +36,10 @@ def random_graph(m, rng):
 
 
 def test_is_connected_conventions():
-    assert is_connected(make_graph([], []))
-    assert is_connected(make_graph([0], []))
-    assert not is_connected(make_graph([0, 1], []))
-    assert is_connected(cycle(4))
+    assert kappa_connected_fast(make_graph([], []), 1)
+    assert kappa_connected_fast(make_graph([0], []), 1)
+    assert not kappa_connected_fast(make_graph([0, 1], []), 1)
+    assert kappa_connected_fast(cycle(4), 1)
 
 
 def test_bruteforce_examples():
@@ -166,7 +166,8 @@ def test_cut_at_least_counts_min_vertex_separator():
 
 def test_even_cut_hidden_behind_first_sources():
     """Every cut smaller than kappa holds all of the first kappa - 1
-    vertices, so only a flow from the kappa-th vertex can find one."""
+    vertices, and each of them reaches every non-neighbor kappa times, so
+    no flow from those vertices can find the cut."""
     rng = random.Random(5)
     for _ in range(60):
         kappa = rng.randint(2, 5)
@@ -193,6 +194,97 @@ def test_even_cut_hidden_behind_first_sources():
         # One edge across the cut: the flow must not report a stale cut.
         bridged = Graph(g.vertices, g.edges | {tuple(sorted((rng.choice(A), rng.choice(B))))})
         assert kappa_connected_fast(bridged, kappa) == kappa_connected_bruteforce(bridged, kappa)
+
+
+def test_cut_through_least_degree_vertex():
+    """Every cut smaller than kappa holds the least-degree vertex v, so
+    only a flow between two neighbors of v can find one.
+
+    Cliques A and B are joined through a separator of kappa - 1 vertices:
+    v, adjacent to kappa vertices of each clique, and kappa - 2 vertices
+    adjacent to all of A and B.  Each cross pair of v's neighbors has
+    exactly kappa - 1 common neighbors, one short of the skip.  One more
+    vertex outside the graph is adjacent to everything, so a common
+    neighbor counted outside vmask would lift the pair to the skip.
+    """
+    rng = random.Random(6)
+    for _ in range(24):
+        kappa = rng.randint(2, 5)
+        low, high = 2 * kappa + 2, 2 * kappa + 4
+        size_a, size_b = rng.randint(low, high), rng.randint(low, high)
+        n = size_a + size_b + kappa
+        labels = rng.sample(range(n), n)
+        A, B = labels[:size_a], labels[size_a : size_a + size_b]
+        v, *others, outside = labels[size_a + size_b :]
+        edges = set(combinations(A, 2)) | set(combinations(B, 2))
+        edges |= {(x, y) for x in others for y in A + B}
+        edges |= set(combinations(others, 2))
+        edges |= {(v, y) for y in rng.sample(A, kappa) + rng.sample(B, kappa)}
+        edges |= {(outside, y) for y in labels if y != outside}
+        adj = _adjacency(make_graph(labels, edges))
+        vmask = sum(1 << x for x in labels) & ~(1 << outside)
+        g = induced(adj, sorted(labels[:-1]))
+        degree = {x: (adj[x] & vmask).bit_count() for x in g.vertices}
+        assert all(degree[x] > degree[v] for x in g.vertices if x != v)
+        for t in g.vertices:
+            if t != v and not adj[v] >> t & 1:
+                assert _cut_at_least(vmask, adj, v, t, kappa)
+        assert not kappa_connected_mask(vmask, adj, kappa)
+        assert kappa_connected_mask(vmask, adj, kappa - 1)
+        if n <= 20:
+            assert not kappa_connected_bruteforce(g, kappa)
+            assert kappa_connected_bruteforce(g, kappa - 1)
+
+
+def circulant_adj(n, r):
+    adj = [0] * n
+    for a in range(n):
+        for d in range(1, r + 1):
+            adj[a] |= 1 << (a + d) % n | 1 << (a - d) % n
+    return adj
+
+
+def menger_verdict(adj, X, kappa):
+    """kappa-connected by the verifier's disjoint-path counter: every
+    non-adjacent pair of X joined by kappa internally disjoint paths."""
+    nbrs = {a: {b for b in X if adj[a] >> b & 1} for a in X}
+    return all(
+        _disjoint_paths_at_least(nbrs, a, b, kappa)
+        for a, b in combinations(X, 2)
+        if b not in nbrs[a]
+    )
+
+
+def test_mask_matches_menger_counter_on_large_graphs():
+    """The sizes check-conn and the certify decides run at, beyond the
+    reach of the brute-force oracle."""
+    rng = random.Random(7)
+    cases = []
+    for n in (12, 17, 24, 31, 40):
+        r = rng.randint(1, 4)
+        cases += [(circulant_adj(n, r), list(range(n)), k) for k in (2 * r, 2 * r + 1)]
+    for _ in range(6):
+        size_a, size_b = rng.randint(6, 20), rng.randint(6, 20)
+        bridges = rng.randint(1, 5)
+        n = size_a + size_b
+        A, B = range(size_a), range(size_a, n)
+        edges = set(combinations(A, 2)) | set(combinations(B, 2))
+        edges |= {(rng.choice(A), rng.choice(B)) for _ in range(bridges)}
+        adj = _adjacency(make_graph(range(n), edges))
+        cases += [(adj, list(range(n)), k) for k in (bridges, bridges + 1)]
+    for _ in range(24):
+        adj, X = random_embedded(rng, rng.randint(12, 40))
+        if len(X) < 12:
+            continue
+        low = min((adj[x] & sum(1 << y for y in X)).bit_count() for x in X)
+        cases.append((adj, X, rng.randint(1, low + 1)))
+    for adj, X, kappa in cases:
+        vmask = sum(1 << x for x in X)
+        assert kappa_connected_mask(vmask, adj, kappa) == menger_verdict(adj, X, kappa), (
+            adj,
+            X,
+            kappa,
+        )
 
 
 def test_graph_validation():

@@ -1,0 +1,27 @@
+"""Command-line scripts under scripts/, run as their own processes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import connramsey
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_run_thresholds_sweeps_hc_below_classical():
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_thresholds.py"),
+         "--modes", "classical", "hc", "--min-m", "2", "--max-m", "4", "--max-n", "6"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    hc = [r for r in rows if r["mode"] == "hc"]
+    # j >= m - 1 is classical, so each m sweeps j = 1..m-2 and m = 2 has none.
+    assert [(r["m"], r["j"]) for r in hc] == [(3, 1), (4, 1), (4, 2)]
+    assert all("j" not in r for r in rows if r["mode"] == "classical")
+    assert {(r["m"], r["j"]): r["threshold"] for r in hc} == {(3, 1): 3, (4, 1): 4, (4, 2): 6}
