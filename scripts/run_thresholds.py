@@ -6,7 +6,9 @@ vertex count n at which every coloring (one representative per
 color-permutation orbit) satisfies the relation, together with the
 extremal coloring one step below.  hc rows sweep the connectivity
 demand j = 1..m-2 and name it; at j >= m-1 an hc set is a clique, so
-those cells are the classical rows.
+those cells are the classical rows.  A cell whose --time-limit runs out
+prints "capped": true with a null threshold and the lower bound
+"at_least" that the levels it searched prove, and the sweep goes on.
 
 Examples:
     python3 scripts/run_thresholds.py --colors 2 --palette-size 1 --max-m 3 --max-n 6
@@ -18,7 +20,7 @@ import json
 import sys
 import time
 
-from connramsey import ramsey_number, write_coloring
+from connramsey import ResourceCapExceeded, ramsey_number, write_coloring
 
 
 def main() -> int:
@@ -39,22 +41,30 @@ def main() -> int:
         for m in range(args.min_m, args.max_m + 1):
             for j in range(1, m - 1) if mode == "hc" else [None]:
                 start = time.perf_counter()
-                result = ramsey_number(
-                    mode, m, args.colors, args.palette_size, args.max_n,
-                    j=j, time_limit=args.time_limit,
-                )
+                try:
+                    result = ramsey_number(
+                        mode, m, args.colors, args.palette_size, args.max_n,
+                        j=j, time_limit=args.time_limit,
+                    )
+                except ResourceCapExceeded as exc:
+                    # A search that stepped into level k has found failing
+                    # colorings below k, so the threshold is at least k.
+                    result, at_least = None, max(exc.reached, m)
                 elapsed = time.perf_counter() - start
                 row = {
                     "mode": mode,
                     "m": m,
                     "colors": args.colors,
                     "palette_size": args.palette_size,
-                    "threshold": result.threshold,
+                    "threshold": None if result is None else result.threshold,
                     "seconds": round(elapsed, 2),
                 }
                 if j is not None:
                     row["j"] = j
-                if args.show_extremal:
+                if result is None:
+                    row["capped"] = True
+                    row["at_least"] = at_least
+                elif args.show_extremal:
                     row["extremal"] = write_coloring(result.extremal)
                 rows.append(row)
                 print(json.dumps(row, sort_keys=True))

@@ -24,7 +24,7 @@ vertices 0..n-2 is still a witness once a top vertex n-1 is added (a wc
 path stays at or above its source, and the new vertex lies above every
 old one).  So every coloring that fails on n vertices extends one that
 fails on n-1 vertices.  ramsey_number races two deterministic searches,
-one verdict each in turn, and takes the answer of whichever finishes
+one verdict run each in turn, and takes the answer of whichever finishes
 first:
 
 * the scanner walks the canonical colorings of each n in enumeration
@@ -32,14 +32,16 @@ first:
   are dense;
 * the extension search keeps the set of failing canonical colorings of
   each level and extends each by every color vector on the pairs of a new
-  top vertex; it wins where failures are sparse.
+  top vertex; it wins where failures are sparse.  Under a palette an
+  extension's verdict depends only on (parent, palette, top mask), the
+  top mask holding the vertices whose top color lies in the palette.
 
 Both report the lexicographically least canonical failing coloring one
 level below the threshold: the scanner because the enumeration order is
 lexicographic, the extension search because its level set holds every
 failing canonical coloring and it reports the least.  Verdicts in the
 search only try the maximal palettes, as every relation is monotone in
-the palette.
+the palette, and run on adjacency rows: only the extremal is a Coloring.
 """
 
 from __future__ import annotations
@@ -58,15 +60,19 @@ from .core import (
     RelationQuery,
     WcCertificate,
     bits,
-    canonical_color_form,
     pair_index,
     palette_adjacency,
+    palette_rows,
 )
-from .wellconn import chain_of_length, is_wc_set, wc_order
+from .wellconn import chain_of_length, wc_certificate, wc_order_rows
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A configured search budget ran out before an answer was reached."""
+    """A search budget ran out; `reached` is the level a threshold search reached."""
+
+    def __init__(self, message: str, reached: int = 0):
+        super().__init__(message)
+        self.reached = reached
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,6 @@ class DecisionOutcome:
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
-
-
-def _holds(cert) -> DecisionOutcome:
-    return DecisionOutcome("holds", cert, None)
-
-
-def _fails(palettes) -> DecisionOutcome:
-    return DecisionOutcome("fails", None, tuple(palettes))
 
 
 def palette_tuples(lam: int, kappa: int):
@@ -195,10 +193,11 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     return grow(X, cands, m - X.bit_count())
 
 
-def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
-    """(palette, X, adj) for the first of `palettes` under which c has a
-    witness, X the lexicographically least one and adj the palette
-    adjacency searched (None for wc); None when no palette has one.
+def _witness(query: RelationQuery, pal_rows, top: bool = False):
+    """(palette, X, adj) for the first (palette, adj) of `pal_rows` whose
+    palette adjacency rows adj have a witness, X the lexicographically
+    least one; None when none has.  pal_rows is consumed only up to that
+    palette, so it may build rows lazily.
 
     j >= m - 1 (classical, and hc by default) is the clique search: an
     (m - 1)-connected graph on m vertices is complete.  Smaller j is the
@@ -211,29 +210,27 @@ def _witness(c: Coloring, query: RelationQuery, palettes, top: bool = False):
     """
     m = query.m
     if query.mode == "wc":
-        for pal in palettes:
-            X = chain_of_length(wc_order(c, pal), m)
+        for pal, adj in pal_rows:
+            X = chain_of_length(wc_order_rows(adj, pal), m)
             if X is not None:
-                return pal, X, None
+                return pal, X, adj
         return None
     j = m if query.j is None else query.j
-    last = c.n - 1
-    for pal in palettes:
-        adj = palette_adjacency(c, pal.members)
-        if j >= m - 1:
-            if top:
-                X = _find_clique(adj, adj[last], m - 1)
-                if X is not None:
-                    return pal, X + (last,), adj
-            else:
-                X = _find_clique(adj, (1 << c.n) - 1, m)
-                if X is not None:
-                    return pal, X, adj
-        else:
+    for pal, adj in pal_rows:
+        last = len(adj) - 1
+        if j < m - 1:
             seed = 1 << last if top else 0
-            xmask = _find_connected(adj, seed, (1 << c.n) - 1 - seed, m, j)
+            xmask = _find_connected(adj, seed, (2 << last) - 1 - seed, m, j)
             if xmask:
                 return pal, tuple(bits(xmask)), adj
+        elif top:
+            X = _find_clique(adj, adj[last], m - 1)
+            if X is not None:
+                return pal, X + (last,), adj
+        else:
+            X = _find_clique(adj, (2 << last) - 1, m)
+            if X is not None:
+                return pal, X, adj
     return None
 
 
@@ -251,25 +248,30 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     tried = []
     for pal in palette_tuples(c.lam, query.kappa):
         palette = Palette(frozenset(pal), AT_MOST_K, query.kappa)
-        hit = _witness(c, query, (palette,))
+        hit = _witness(query, ((palette, palette_adjacency(c, palette.members)),))
         if hit is None:
             tried.append(pal)
             continue
         _, X, adj = hit
         if query.mode == "wc":
-            cert = is_wc_set(c, X, palette)
+            cert = wc_certificate(c.n, c.lam, X, palette, adj)
             assert cert is not None  # chain pairs are related by construction
-            return _holds(cert)
+            return DecisionOutcome("holds", cert, None)
         edges = frozenset((a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1)
         j = query.m if query.j is None else query.j
-        return _holds(HcCertificate(c.n, c.lam, X, palette, edges, j))
-    return _fails(tried)
+        return DecisionOutcome("holds", HcCertificate(c.n, c.lam, X, palette, edges, j), None)
+    return DecisionOutcome("fails", None, tuple(tried))
 
 
 def enumerate_colorings_canonical(n: int, lam: int):
     """Exactly one coloring per color-permutation orbit, in deterministic
     order: the restricted-growth strings over the lexicographic pair
     slots with values below lam, in lexicographic order."""
+    return (Coloring(n, lam, colors) for colors in _restricted_growth(n, lam))
+
+
+def _restricted_growth(n: int, lam: int):
+    """The pair colors of enumerate_colorings_canonical, as tuples."""
     if n < 2:
         raise ValueError("need n >= 2")
     if lam < 1:
@@ -281,7 +283,7 @@ def enumerate_colorings_canonical(n: int, lam: int):
     cap = [min(1, lam - 1)] * npairs
     cap[0] = 0
     while True:
-        yield Coloring(n, lam, tuple(buf))
+        yield tuple(buf)
         i = npairs - 1
         while buf[i] == cap[i]:
             i -= 1
@@ -326,11 +328,11 @@ def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     prev_failing = Coloring(m - 1, lam, (0,) * ((m - 1) * (m - 2) // 2))
     for n in range(m, n_max + 1):
         failing = None
-        for cand in enumerate_colorings_canonical(n, lam):
-            holds = _witness(cand, query, palettes) is not None
+        for colors in _restricted_growth(n, lam):
+            hit = _witness(query, ((p, palette_rows(n, colors, p.members)) for p in palettes))
             yield n
-            if not holds:
-                failing = cand
+            if hit is None:
+                failing = Coloring(n, lam, colors)
                 break
         if failing is None:
             return ThresholdResult(n, prev_failing)
@@ -350,12 +352,16 @@ def _extension_slots(n: int) -> list[int]:
     ]
 
 
-def _pack(colors, lam: int) -> int:
-    """Colors as one base-lam number, first slot most significant: for
-    colorings of one size, numeric order is lexicographic order."""
+def _key(colors, lam: int) -> int:
+    """Colors relabelled by first appearance, as one base-lam number with
+    the first slot most significant: numeric order is lexicographic."""
+    relabel: dict[int, int] = {}
     key = 0
     for x in colors:
-        key = key * lam + x
+        y = relabel.get(x)
+        if y is None:
+            y = relabel[x] = len(relabel)
+        key = key * lam + y
     return key
 
 
@@ -366,20 +372,44 @@ def _unpack(key: int, lam: int, npairs: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
+    """(top, holds, searched) per top vector in product order: whether
+    extending the colors `base` on n - 1 vertices by a vertex with those
+    pair colors holds, and whether that ran a witness search.  Verdicts
+    are memoised per (palette, top mask); see the module docstring."""
+    last = n - 1
+    base_rows = [palette_rows(last, base, p.members) for p in palettes]
+    held: dict[tuple[int, int], bool] = {}
+    for top in product(range(lam), repeat=last):
+        by_color = [0] * lam
+        for a, x in enumerate(top):
+            by_color[x] |= 1 << a
+        before = len(held)
+        for i, pal in enumerate(palettes):
+            mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
+            verdict = held.get((i, mask))
+            if verdict is None:
+                rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
+                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), True) is not None
+            if verdict:
+                break
+        yield top, verdict, len(held) > before
+
+
 def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     """The extension search: the failing canonical colorings of level n
     are the canonical forms of the failing one-vertex extensions of
     level n-1.  Below m every coloring fails, so it starts from all
     canonical colorings on m-1 vertices.  Levels are sets of packed
     colors.  Yields the level after every coloring seeded and every
-    verdict, and returns the ThresholdResult."""
+    verdict that ran a witness search, and returns the ThresholdResult."""
     m = query.m
     if m == 2:
-        level = {_pack((), lam)}
+        level = {0}
     else:
         level = set()
-        for c in enumerate_colorings_canonical(m - 1, lam):
-            level.add(_pack(c.colors, lam))
+        for colors in _restricted_growth(m - 1, lam):
+            level.add(_key(colors, lam))
             yield m - 1
     for n in range(m, n_max + 1):
         slots = _extension_slots(n)
@@ -387,12 +417,11 @@ def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
         failing: set[int] = set()
         for key in level:
             base = _unpack(key, lam, below)
-            for top in product(range(lam), repeat=n - 1):
-                joined = base + top
-                c = Coloring(n, lam, tuple([joined[i] for i in slots]))
-                if _witness(c, query, palettes, top=True) is None:
-                    failing.add(_pack(canonical_color_form(c).colors, lam))
-                yield n
+            for top, holds, searched in _top_verdicts(query, n, lam, base, palettes):
+                if not holds:
+                    failing.add(_key(map((base + top).__getitem__, slots), lam))
+                if searched:
+                    yield n
         if not failing:
             return ThresholdResult(n, Coloring(n - 1, lam, _unpack(min(level), lam, below)))
         level = failing
@@ -410,7 +439,7 @@ def _race(sides, deadline: float | None):
             for side in sides:
                 if deadline is not None and time.monotonic() > deadline:
                     where = f"at n={reached}" if reached else "before the first step"
-                    raise ResourceCapExceeded(f"time budget used up {where}")
+                    raise ResourceCapExceeded(f"time budget used up {where}", reached)
                 try:
                     reached = max(reached, next(side))
                 except StopIteration as done:

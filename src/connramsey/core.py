@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 
 class FormatError(ValueError):
@@ -127,17 +127,19 @@ def canonical_color_form(c: Coloring) -> Coloring:
     return Coloring(c.n, c.lam, tuple(out))
 
 
+def palette_rows(n: int, colors, members) -> list[int]:
+    """Neighbor bitmasks of the graph on 0..n-1 formed by the pairs whose
+    color, in the lexicographic pair colors `colors`, lies in `members`."""
+    adj = [0] * n
+    for a, b in compress(combinations(range(n), 2), map(members.__contains__, colors)):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 def palette_adjacency(c: Coloring, colors) -> list[int]:
     """Neighbor bitmasks of the graph formed by pairs colored in `colors`."""
-    adj = [0] * c.n
-    k = 0
-    for a in range(c.n):
-        for b in range(a + 1, c.n):
-            if c.colors[k] in colors:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            k += 1
-    return adj
+    return palette_rows(c.n, c.colors, colors)
 
 
 def bits(mask: int):

@@ -82,7 +82,11 @@ def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
         if not 0 <= v < c.n:
             raise ValueError(f"vertex {v} out of range for n={c.n}")
     _check_palette(c, palette)
-    adj = palette_adjacency(c, palette.members)
+    return wc_certificate(c.n, c.lam, xs, palette, palette_adjacency(c, palette.members))
+
+
+def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate | None:
+    """is_wc_set for the ascending vertices xs on the palette's rows adj."""
     paths = {}
     for k, a in enumerate(xs[:-1]):
         parent = _search_tree(adj, a)
@@ -91,7 +95,7 @@ def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
             if p is None:
                 return None
             paths[(a, b)] = p
-    return WcCertificate(c.n, c.lam, xs, palette, paths)
+    return WcCertificate(n, lam, xs, palette, paths)
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,15 @@ def wc_order(c: Coloring, palette: Palette) -> WcOrder:
     certifies.
     """
     _check_palette(c, palette)
-    adj = palette_adjacency(c, palette.members)
+    return wc_order_rows(palette_adjacency(c, palette.members), palette)
+
+
+def wc_order_rows(adj, palette: Palette) -> WcOrder:
+    """wc_order on the palette's adjacency rows `adj`."""
     succ = tuple(
-        frozenset(bits(reach(1 << a, adj, -1 << a) ^ (1 << a))) for a in range(c.n)
+        frozenset(bits(reach(1 << a, adj, -1 << a) ^ (1 << a))) for a in range(len(adj))
     )
-    return WcOrder(c.n, palette, succ)
+    return WcOrder(len(adj), palette, succ)
 
 
 def _chain_potentials(order: WcOrder) -> list[int]:

@@ -16,8 +16,17 @@ from connramsey import (
     palette_tuples,
     ramsey_number,
 )
-from connramsey.arrows import _extend_levels, _maximal_palettes, _scan_levels, _witness
-from connramsey.core import AT_MOST_K, Coloring, Palette
+from connramsey import arrows
+from connramsey.arrows import (
+    _extend_levels,
+    _key,
+    _maximal_palettes,
+    _scan_levels,
+    _top_verdicts,
+    _unpack,
+    _witness,
+)
+from connramsey.core import AT_MOST_K, Coloring, Palette, palette_adjacency
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import (
     has_monochromatic_m_set,
@@ -310,6 +319,22 @@ def test_ramsey_time_limit_nan_negative_inf():
     assert ramsey_number("classical", 3, 2, 1, 6, time_limit=float("inf")).threshold == 6
 
 
+def test_ramsey_time_budget_reports_the_level_reached(monkeypatch):
+    # The race reads the clock before every step; a clock that jumps
+    # after 40 readings stops it part way.  hc m=4 j=2 has threshold 6,
+    # and the level reached is a lower bound on it.
+    readings = iter(range(10**6))
+    monkeypatch.setattr(arrows.time, "monotonic", lambda: 0.0 if next(readings) < 40 else 1e9)
+    with pytest.raises(ResourceCapExceeded) as err:
+        ramsey_number("hc", 4, 2, 1, 7, j=2, time_limit=1.0)
+    assert 4 <= err.value.reached <= 6
+    assert str(err.value) == f"time budget used up at n={err.value.reached}"
+    monkeypatch.undo()
+    with pytest.raises(ResourceCapExceeded) as err:
+        ramsey_number("classical", 3, 2, 1, 6, time_limit=-1.0)
+    assert err.value.reached == 0
+
+
 def test_ramsey_parameter_validation():
     with pytest.raises(ValueError):
         ramsey_number("classical", 3, 2, 1, 2)
@@ -338,6 +363,12 @@ RELATIONS = [
     for mode, js in (("classical", [None]), ("hc", range(1, m + 1)), ("wc", [None]))
     for j in js
 ]
+
+
+def witness(c, query, palettes, top=False):
+    """The witness search on a Coloring, with its rows built per palette."""
+    rows = ((p, palette_adjacency(c, p.members)) for p in palettes)
+    return _witness(query, rows, top=top)
 
 
 def drain(search):
@@ -397,12 +428,53 @@ def test_verdict_helper_agrees_with_decide(lam):
             for n in range(2, 6):
                 for c in enumerate_colorings_canonical(n, lam):
                     if n >= m:
-                        verdict = _witness(c, query, palettes) is not None
+                        verdict = witness(c, query, palettes) is not None
                         assert verdict == decide(c, query).holds
                     if m - 1 <= n < 5 and fails(c, query):
                         for ext in top_extensions(c):
-                            verdict = _witness(ext, query, palettes, top=True) is not None
+                            verdict = witness(ext, query, palettes, top=True) is not None
                             assert verdict == decide(ext, query).holds
+
+
+@pytest.mark.parametrize("lam, n_max", ((2, 6), (3, 5)))
+def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
+    # The extension side decides a top vector from the parent's rows and
+    # each palette's top mask, memoised per (palette, mask); decide on the
+    # built extension must agree, and a failing extension's key must be
+    # its canonical color form.
+    for mode, m, j in (("classical", 3, None), ("hc", 4, 2), ("wc", 3, None), ("wc", 4, None)):
+        for kappa in (1, 2):
+            query = RelationQuery(mode, m, kappa, j)
+            palettes = _maximal_palettes(lam, kappa)
+            for n in range(m, n_max + 1):
+                for c in enumerate_colorings_canonical(n - 1, lam):
+                    if not fails(c, query):
+                        continue
+                    verdicts = _top_verdicts(query, n, lam, c.colors, palettes)
+                    for (top, holds, _), ext in zip(verdicts, top_extensions(c), strict=True):
+                        assert top == tuple(ext.color(a, n - 1) for a in range(n - 1))
+                        assert holds == decide(ext, query).holds
+                        if not holds:
+                            key = _key(ext.colors, lam)
+                            assert _unpack(key, lam, len(ext.colors)) == canonical_color_form(ext).colors
+
+
+@pytest.mark.parametrize("mode, m, j", (("hc", 4, 2), ("wc", 3, None)))
+def test_extension_side_memo_hits_at_three_colors(mode, m, j, monkeypatch):
+    # With three colors and palettes of one, top masks repeat across top
+    # vectors: extending the failing colorings on 4 vertices runs fewer
+    # witness searches than there are extensions, and the extension side
+    # still returns the scanner's result.
+    query = RelationQuery(mode, m, 1, j)
+    palettes = _maximal_palettes(3, 1)
+    assert drain(_extend_levels(query, 3, 5, palettes)) == drain(_scan_levels(query, 3, 5, palettes))
+    parents = [c for c in enumerate_colorings_canonical(4, 3) if fails(c, query)]
+    calls = []
+    monkeypatch.setattr(arrows, "_witness", lambda *args: calls.append(args) or _witness(*args))
+    for c in parents:
+        for _ in _top_verdicts(query, 5, 3, c.colors, palettes):
+            pass
+    assert 0 < len(calls) < 3**4 * len(parents)
 
 
 def witness_summary(hit):
@@ -427,7 +499,7 @@ def test_pruned_hc_search_matches_subset_sweep():
         palettes = [Palette(frozenset(p), AT_MOST_K, kappa) for p in palette_tuples(lam, kappa)]
         for top in (False, True):
             want = hc_witness_sweep(c, m, j, palettes, top=top)
-            assert witness_summary(_witness(c, query, palettes, top=top)) == want
+            assert witness_summary(witness(c, query, palettes, top=top)) == want
 
 
 def test_pruned_hc_search_on_every_extension_of_failing_colorings():
@@ -444,4 +516,4 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
                         continue
                     for ext in top_extensions(c):
                         want = hc_witness_sweep(ext, m, j, palettes, top=True)
-                        assert witness_summary(_witness(ext, query, palettes, top=True)) == want
+                        assert witness_summary(witness(ext, query, palettes, top=True)) == want

@@ -25,3 +25,24 @@ def test_run_thresholds_sweeps_hc_below_classical():
     assert [(r["m"], r["j"]) for r in hc] == [(3, 1), (4, 1), (4, 2)]
     assert all("j" not in r for r in rows if r["mode"] == "classical")
     assert {(r["m"], r["j"]): r["threshold"] for r in hc} == {(3, 1): 3, (4, 1): 4, (4, 2): 6}
+
+
+def test_run_thresholds_reports_a_capped_cell_and_goes_on():
+    # hc m=5 j=3 needs far more than 0.2 s up to n=9, and the j=2 cell
+    # over a second; a capped cell prints a row with its proven lower
+    # bound and the sweep goes on.
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_thresholds.py"), "--modes", "hc",
+         "--min-m", "5", "--max-m", "5", "--max-n", "9", "--time-limit", "0.2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["j"] for r in rows] == [1, 2, 3]
+    assert rows[-1]["capped"] is True
+    for row in rows:
+        if row.get("capped"):
+            assert row["threshold"] is None and 5 <= row["at_least"] <= 9
+        else:
+            assert "at_least" not in row and row["threshold"] is not None
