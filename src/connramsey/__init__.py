@@ -24,7 +24,6 @@ from .core import (
     Palette,
     RelationQuery,
     WcCertificate,
-    canonical_color_form,
     certificate_from_json,
     certificate_to_json,
     make_coloring,
@@ -51,7 +50,7 @@ from .ordinals import (
     sample_universe,
 )
 from .verify import verify_certificate
-from .wellconn import WcOrder, is_wc_set, longest_wc_set, tree_check, wc_order, wc_pair
+from .wellconn import is_wc_set, longest_wc_set, tree_check, wc_order, wc_pair
 
 __version__ = "0.1.0"
 

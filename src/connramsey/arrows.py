@@ -53,7 +53,6 @@ from itertools import combinations, product
 
 from .connectivity import kappa_connected_mask
 from .core import (
-    AT_MOST_K,
     Coloring,
     HcCertificate,
     Palette,
@@ -211,7 +210,7 @@ def _witness(query: RelationQuery, pal_rows, top: bool = False):
     m = query.m
     if query.mode == "wc":
         for pal, adj in pal_rows:
-            X = chain_of_length(wc_order_rows(adj, pal), m)
+            X = chain_of_length(wc_order_rows(adj), m)
             if X is not None:
                 return pal, X, adj
         return None
@@ -247,7 +246,7 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
         raise ValueError(f"need 2 <= m <= n, got m={query.m}, n={c.n}")
     tried = []
     for pal in palette_tuples(c.lam, query.kappa):
-        palette = Palette(frozenset(pal), AT_MOST_K, query.kappa)
+        palette = Palette(frozenset(pal))
         hit = _witness(query, ((palette, palette_adjacency(c, palette.members)),))
         if hit is None:
             tried.append(pal)
@@ -314,10 +313,7 @@ class ThresholdResult:
 def _maximal_palettes(lam: int, kappa: int) -> list[Palette]:
     """The palettes of size min(kappa, lam); every smaller palette lies
     inside one of them."""
-    return [
-        Palette(frozenset(pal), AT_MOST_K, kappa)
-        for pal in combinations(range(lam), min(kappa, lam))
-    ]
+    return [Palette(frozenset(pal)) for pal in combinations(range(lam), min(kappa, lam))]
 
 
 def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):

@@ -22,13 +22,6 @@ class FormatError(ValueError):
     """A coloring file or certificate document does not match its format."""
 
 
-# Palette budget kinds.
-AT_MOST_K = "at-most-k"
-INITIAL_SEGMENT = "subset-of-initial-segment-i"
-
-_BUDGET_KINDS = (AT_MOST_K, INITIAL_SEGMENT)
-
-
 def pair_index(n: int, a: int, b: int) -> int:
     """Position of the pair (a, b), a < b < n, in lexicographic pair order."""
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
@@ -110,21 +103,6 @@ def make_coloring(n: int, lam: int, entries) -> Coloring:
         if col is None:
             raise ValueError(f"missing pair ({a}, {b})")
     return Coloring(n, lam, tuple(slots))  # type: ignore[arg-type]
-
-
-def canonical_color_form(c: Coloring) -> Coloring:
-    """Relabel colors by first appearance in lexicographic pair order.
-
-    The result is a restricted-growth string over the pair slots: it is
-    idempotent and constant on color-permutation orbits.
-    """
-    relabel: dict[int, int] = {}
-    out = []
-    for x in c.colors:
-        if x not in relabel:
-            relabel[x] = len(relabel)
-        out.append(relabel[x])
-    return Coloring(c.n, c.lam, tuple(out))
 
 
 def palette_rows(n: int, colors, members) -> list[int]:
@@ -215,31 +193,15 @@ def read_coloring(text: str) -> Coloring:
 
 @dataclass(frozen=True)
 class Palette:
-    """A set of colors under a cardinality budget.
-
-    Budget kinds: AT_MOST_K (|members| <= budget), INITIAL_SEGMENT
-    (members within 0..budget-1).
-    A budget of None leaves the palette unconstrained.
-    """
+    """A set of colors."""
 
     members: frozenset[int]
-    budget_kind: str = AT_MOST_K
-    budget: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
         for x in self.members:
             if x < 0:
                 raise ValueError(f"negative color {x}")
-        if self.budget_kind not in _BUDGET_KINDS:
-            raise ValueError(f"unknown budget kind {self.budget_kind!r}")
-        if self.budget is None:
-            return
-        size = len(self.members)
-        if self.budget_kind == AT_MOST_K and size > self.budget:
-            raise ValueError(f"palette has {size} colors, budget allows at most {self.budget}")
-        if self.budget_kind == INITIAL_SEGMENT and any(x >= self.budget for x in self.members):
-            raise ValueError(f"palette not contained in 0..{self.budget - 1}")
 
     @property
     def sorted_members(self) -> tuple[int, ...]:

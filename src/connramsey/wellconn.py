@@ -7,15 +7,16 @@ coloring's vertex range constrains it.  Reachability in the induced
 subgraph on {a..n-1} decides the question, because every walk contains a
 simple path with the same endpoints.
 
-Relating a < b whenever the pair is well-connected yields a strict order.
-Concatenating witness paths shows it is transitive, and its predecessor
-sets are linearly ordered; tree_check asserts both on concrete inputs,
-and a failure there is a test failure, not a silent assumption.
+Relating a < b whenever the pair is well-connected yields a strict order,
+kept as one successor bitmask per vertex: the a-th mask holds the b > a
+reachable from a above a.  Concatenating witness paths shows it is
+transitive, and its predecessor sets are linearly ordered; tree_check
+asserts both on concrete inputs, and a failure there is a test failure,
+not a silent assumption.  Chains come from level masks: level k holds
+the vertices that start a chain of k + 1 vertices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import Coloring, Palette, WcCertificate, bits, palette_adjacency, reach
 
@@ -98,111 +99,79 @@ def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate
     return WcCertificate(n, lam, xs, palette, paths)
 
 
-@dataclass(frozen=True)
-class WcOrder:
-    """Successor sets of the well-connectedness relation on 0..n-1.
+def wc_order(c: Coloring, palette: Palette) -> list[int]:
+    """Successor masks of the relation: bit b of the a-th mask is set
+    exactly when a < b and the pair is well-connected in the palette.
 
-    rel(a, b) holds exactly when a < b and the pair is well-connected in
-    the palette the order was built from.
-    """
-
-    n: int
-    palette: Palette
-    succ: tuple[frozenset[int], ...]
-
-    def rel(self, a: int, b: int) -> bool:
-        return b in self.succ[a]
-
-    def pairs(self):
-        for a in range(self.n):
-            for b in sorted(self.succ[a]):
-                yield a, b
-
-
-def wc_order(c: Coloring, palette: Palette) -> WcOrder:
-    """Materialize the relation by one reachability sweep per source.
-
-    Keeps no search-tree parents: threshold search builds orders by the
-    thousand and needs no paths; is_wc_set builds trees for the chain it
-    certifies.
+    One reachability sweep per source and no search-tree parents:
+    threshold search builds orders by the thousand and needs no paths;
+    is_wc_set builds trees for the chain it certifies.
     """
     _check_palette(c, palette)
-    return wc_order_rows(palette_adjacency(c, palette.members), palette)
+    return wc_order_rows(palette_adjacency(c, palette.members))
 
 
-def wc_order_rows(adj, palette: Palette) -> WcOrder:
+def wc_order_rows(adj) -> list[int]:
     """wc_order on the palette's adjacency rows `adj`."""
-    succ = tuple(
-        frozenset(bits(reach(1 << a, adj, -1 << a) ^ (1 << a))) for a in range(len(adj))
-    )
-    return WcOrder(len(adj), palette, succ)
+    return [reach(1 << a, adj, -1 << a) ^ 1 << a for a in range(len(adj))]
 
 
-def _chain_potentials(order: WcOrder) -> list[int]:
-    """Length of the longest chain starting at each vertex."""
-    best = [1] * order.n
-    for v in range(order.n - 1, -1, -1):
-        top = 0
-        for w in order.succ[v]:
-            if best[w] > top:
-                top = best[w]
-        best[v] = 1 + top
-    return best
+def _chain_levels(succ, m: int) -> list[int]:
+    """levels[k]: the mask of the vertices that start a chain of k + 1
+    vertices, for k < m, up to the first empty level."""
+    levels = []
+    level = (1 << len(succ)) - 1
+    while level and len(levels) < m:
+        levels.append(level)
+        nxt = 0
+        for v, s in enumerate(succ):
+            if s & level:
+                nxt |= 1 << v
+        level = nxt
+    return levels
 
 
-def chain_of_length(order: WcOrder, m: int) -> tuple[int, ...] | None:
-    """Lexicographically least ascending chain with exactly m vertices.
+def chain_of_length(succ, m: int) -> tuple[int, ...] | None:
+    """Lexicographically least ascending chain with exactly m vertices of
+    the order with successor masks succ, or None.
 
-    Greedy over the potentials is exact because the relation is
-    transitive: extending through any successor keeps all earlier pairs
-    related.
+    Taking the least vertex of each level in turn, from the top level
+    down, among the successors of the last one taken is exact because the
+    relation is transitive: extending through any successor keeps all
+    earlier pairs related.
     """
-    if m == 0:
-        return ()
-    best = _chain_potentials(order)
-    start = next((v for v in range(order.n) if best[v] >= m), None)
-    if start is None:
+    levels = _chain_levels(succ, m)
+    if len(levels) < m:
         return None
-    out = [start]
-    need = m - 1
-    while need:
-        step = next(w for w in sorted(order.succ[out[-1]]) if best[w] >= need)
-        out.append(step)
-        need -= 1
+    out = []
+    cands = -1
+    for level in reversed(levels):
+        low = cands & level
+        v = (low & -low).bit_length() - 1
+        out.append(v)
+        cands = succ[v]
     return tuple(out)
 
 
 def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
     """A maximum-size set well-connected in the palette.
 
-    Computed as a longest chain of the order by dynamic programming; ties
-    break to the lexicographically least vertex list.
+    Computed as a longest chain of the order; ties break to the
+    lexicographically least vertex list.
     """
-    order = wc_order(c, palette)
-    if order.n == 0:
-        return ()
-    chain = chain_of_length(order, max(_chain_potentials(order)))
-    assert chain is not None
-    return chain
+    succ = wc_order(c, palette)
+    return chain_of_length(succ, len(_chain_levels(succ, c.n)))
 
 
 def tree_check(c: Coloring, palette: Palette) -> bool:
     """Is the relation a strict partial order with linearly ordered
     predecessor sets?  Expected true for every coloring and palette."""
-    order = wc_order(c, palette)
-    for a in range(order.n):
-        succ_a = order.succ[a]
-        for b in succ_a:
-            if not order.succ[b] <= succ_a:
+    succ = wc_order(c, palette)
+    preds = [0] * c.n
+    for a, s in enumerate(succ):
+        for b in bits(s):
+            if succ[b] & ~s:
                 return False
-    preds: list[list[int]] = [[] for _ in range(order.n)]
-    for a in range(order.n):
-        for b in order.succ[a]:
-            preds[b].append(a)
-    for b in range(order.n):
-        below = sorted(preds[b])
-        for i, low in enumerate(below):
-            for high in below[i + 1 :]:
-                if high not in order.succ[low]:
-                    return False
-    return True
+            preds[b] |= 1 << a
+    # Each predecessor of b relates to every larger predecessor of b.
+    return all(not p & -2 << a & ~succ[a] for p in preds for a in bits(p))

@@ -7,8 +7,10 @@ sweeps instead of chain dynamic programming and clique search, and a
 brute-force removal enumerator instead of flows or path counting.  The
 hc witness oracle leans only on that enumerator.  The hc subset sweep is
 the exception: it shares the connectivity kernel and checks only the
-pruning of the witness search.  Also here: the color relabeling the tests
-use, and the per-pair list search whose paths the library's wc
+pruning of the witness search.  Also here: the color relabelings the tests
+use (the canonical form is the slow oracle for the enumeration's
+restricted-growth strings and keys), the pairs of a successor-mask
+order, and the per-pair list search whose paths the library's wc
 certificates must reproduce byte for byte.
 """
 
@@ -77,6 +79,12 @@ def wc_pairs_exhaustive(c, members):
     }
 
 
+def order_pairs(succ):
+    """The related pairs (a, b) of the order with successor masks succ,
+    in lexicographic order."""
+    return [(a, b) for a, s in enumerate(succ) for b in bits(s)]
+
+
 def max_wc_subset_exhaustive(c, members):
     """Size of the largest set whose pairs are all well-connected, by
     subset sweep over the exhaustively computed pair relation."""
@@ -136,6 +144,21 @@ def min_vertex_separator(vertices, edges, s, t):
             if t not in seen:
                 return size
     raise ValueError("s and t are adjacent")
+
+
+def canonical_color_form(c):
+    """Relabel colors by first appearance in lexicographic pair order.
+
+    The result is a restricted-growth string over the pair slots: it is
+    idempotent and constant on color-permutation orbits.
+    """
+    relabel: dict[int, int] = {}
+    out = []
+    for x in c.colors:
+        if x not in relabel:
+            relabel[x] = len(relabel)
+        out.append(relabel[x])
+    return Coloring(c.n, c.lam, tuple(out))
 
 
 def permute_colors(c, perm):

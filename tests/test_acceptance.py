@@ -28,7 +28,6 @@ from connramsey import (
     write_coloring,
 )
 from connramsey.cli import main
-from connramsey.core import INITIAL_SEGMENT
 from connramsey.generators import random_coloring
 from connramsey.ordinals import (
     acc_member,
@@ -44,6 +43,7 @@ from oracles import (
     is_complete,
     kappa_connected_bruteforce,
     max_wc_subset_exhaustive,
+    order_pairs,
 )
 
 
@@ -216,9 +216,9 @@ def test_criterion_09_derived_coloring_club_trapping():
         for i in range(1, coloring.lam):
             for r in range(1, i + 1):
                 for members in combinations(range(i), r):
-                    palette = Palette(frozenset(members), INITIAL_SEGMENT, i)
+                    palette = Palette(frozenset(members))
                     order = wc_order(coloring, palette)
-                    for a, b in order.pairs():
+                    for a, b in order_pairs(order):
                         if not acc_member(universe[a], universe[b], i):
                             violations += 1
                         # the club-trapping corollary: lower members of any

@@ -12,7 +12,6 @@ from connramsey import (
     ResourceCapExceeded,
     decide,
     enumerate_colorings_canonical,
-    canonical_color_form,
     palette_tuples,
     ramsey_number,
 )
@@ -26,9 +25,10 @@ from connramsey.arrows import (
     _unpack,
     _witness,
 )
-from connramsey.core import AT_MOST_K, Coloring, Palette, palette_adjacency
+from connramsey.core import Coloring, Palette, palette_adjacency
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import (
+    canonical_color_form,
     has_monochromatic_m_set,
     hc_witness_bruteforce,
     hc_witness_sweep,
@@ -496,7 +496,7 @@ def test_pruned_hc_search_matches_subset_sweep():
         weights = [rng.random() for _ in range(lam)]
         c = Coloring(n, lam, tuple(rng.choices(range(lam), weights, k=n * (n - 1) // 2)))
         query = RelationQuery("hc", m, kappa, j)
-        palettes = [Palette(frozenset(p), AT_MOST_K, kappa) for p in palette_tuples(lam, kappa)]
+        palettes = [Palette(frozenset(p)) for p in palette_tuples(lam, kappa)]
         for top in (False, True):
             want = hc_witness_sweep(c, m, j, palettes, top=top)
             assert witness_summary(witness(c, query, palettes, top=top)) == want

@@ -330,6 +330,16 @@ def test_check_wc(delta_file, capsys):
     assert code == 1
 
 
+def test_negative_palette_color_exit_2(tmp_path, delta_file, capsys):
+    want = (2, "", "error: negative color -1\n")
+    assert run(capsys, "check-wc", delta_file, "--set", "0,1", "--palette", "-1") == want
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"kind": "wc", "n": 4, "lambda": 2, "X": [0, 1], "Lambda": [-1], "paths": {"0,1": [0, 1]}}'
+    )
+    assert run(capsys, "verify", str(cert), delta_file) == want
+
+
 def test_usage_errors_exit_2(tmp_path, delta_file, capsys):
     code, _, _ = run(capsys, "decide", str(tmp_path / "missing.col"), "--mode", "wc", "--m", "3", "--palette-size", "1")
     assert code == 2

@@ -13,16 +13,15 @@ from connramsey import (
     Palette,
     RelationQuery,
     WcCertificate,
-    canonical_color_form,
     certificate_from_json,
     certificate_to_json,
     make_coloring,
     read_coloring,
     write_coloring,
 )
-from connramsey.core import AT_MOST_K, INITIAL_SEGMENT, pair_index
+from connramsey.core import pair_index
 from connramsey.generators import random_coloring
-from oracles import permute_colors
+from oracles import canonical_color_form, permute_colors
 
 
 @st.composite
@@ -149,17 +148,6 @@ def test_read_coloring_bad_values():
         read_coloring("2 2\n0 1 5\n")
     with pytest.raises(FormatError, match="a < b"):
         read_coloring("2 2\n1 0 1\n")
-
-
-def test_palette_budgets():
-    Palette(frozenset({0, 1}), AT_MOST_K, 2)
-    Palette(frozenset({0, 2}), INITIAL_SEGMENT, 3)
-    with pytest.raises(ValueError, match="at most"):
-        Palette(frozenset({0, 1, 2}), AT_MOST_K, 2)
-    with pytest.raises(ValueError, match="contained"):
-        Palette(frozenset({3}), INITIAL_SEGMENT, 3)
-    with pytest.raises(ValueError, match="budget kind"):
-        Palette(frozenset({0}), "at-least-k", 1)
 
 
 def test_relation_query_validation():

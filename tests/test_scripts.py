@@ -46,3 +46,16 @@ def test_run_thresholds_reports_a_capped_cell_and_goes_on():
             assert row["threshold"] is None and 5 <= row["at_least"] <= 9
         else:
             assert "at_least" not in row and row["threshold"] is not None
+
+
+def test_club_axioms_report_finds_no_violation():
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "club_axioms_report.py"),
+         "--max-d", "2", "--max-coeff", "2", "--sample-size", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if line.startswith("d=")]
+    assert len(rows) == 4
+    assert all(row.split(": ", 1)[1].startswith("ok ") for row in rows)
