@@ -23,6 +23,11 @@ def main() -> int:
     parser.add_argument("--sample-size", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    # The sample checks every bound before the first cell runs.
+    try:
+        universe = sample_universe(args.max_d, args.max_coeff, args.sample_size, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     failures = 0
     for d in range(1, args.max_d + 1):
@@ -35,7 +40,6 @@ def main() -> int:
             )
             failures += 0 if rep.ok else 1
 
-    universe = sample_universe(args.max_d, args.max_coeff, args.sample_size, seed=args.seed)
     print(f"\nsampled universe (seed={args.seed}):", ", ".join(ord_print(x) for x in universe))
     print("derived coloring:")
     sys.stdout.write(write_coloring(coloring_from_csystem(universe)))

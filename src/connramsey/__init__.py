@@ -6,16 +6,12 @@ from .arrows import (
     ResourceCapExceeded,
     ThresholdResult,
     decide,
-    enumerate_colorings_canonical,
-    palette_tuples,
     ramsey_number,
 )
 from .connectivity import (
     Graph,
     kappa_connected_fast,
-    make_graph,
     read_graph,
-    write_graph,
 )
 from .core import (
     Coloring,
@@ -39,18 +35,13 @@ from .generators import (
 from .ordinals import (
     CnfOrdinal,
     CsystemReport,
-    acc_member,
     check_csystem_axioms,
-    club_interval,
     coloring_from_csystem,
-    derived_color,
-    i_min,
-    ord_parse,
     ord_print,
     sample_universe,
 )
 from .verify import verify_certificate
-from .wellconn import is_wc_set, longest_wc_set, tree_check, wc_order, wc_pair
+from .wellconn import is_wc_set
 
 __version__ = "0.1.0"
 

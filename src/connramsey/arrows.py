@@ -262,15 +262,11 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     return DecisionOutcome("fails", None, tuple(tried))
 
 
-def enumerate_colorings_canonical(n: int, lam: int):
-    """Exactly one coloring per color-permutation orbit, in deterministic
-    order: the restricted-growth strings over the lexicographic pair
-    slots with values below lam, in lexicographic order."""
-    return (Coloring(n, lam, colors) for colors in _restricted_growth(n, lam))
-
-
 def _restricted_growth(n: int, lam: int):
-    """The pair colors of enumerate_colorings_canonical, as tuples."""
+    """The pair colors of exactly one coloring per color-permutation
+    orbit, as tuples in deterministic order: the restricted-growth
+    strings over the lexicographic pair slots with values below lam, in
+    lexicographic order."""
     if n < 2:
         raise ValueError("need n >= 2")
     if lam < 1:

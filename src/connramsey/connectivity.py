@@ -60,31 +60,6 @@ class Graph:
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
 
 
-def make_graph(vertices, edges) -> Graph:
-    """Graph from any iterables; edge pairs are normalized to a < b."""
-    vs = tuple(sorted(set(vertices)))
-    es = set()
-    for a, b in edges:
-        if a == b:
-            raise ValueError(f"loop at vertex {a}")
-        es.add((a, b) if a < b else (b, a))
-    return Graph(vs, frozenset(es))
-
-
-def write_graph(g: Graph) -> str:
-    """Serialize: header `<n> <e>`, then `<a> <b>` edge lines, a < b.
-
-    The file format fixes the vertex universe to 0..n-1.
-    """
-    n = len(g.vertices)
-    if g.vertices != tuple(range(n)):
-        raise ValueError("graph files require vertices 0..n-1")
-    lines = [f"{n} {len(g.edges)}"]
-    for a, b in sorted(g.edges):
-        lines.append(f"{a} {b}")
-    return "\n".join(lines) + "\n"
-
-
 def read_graph(text: str) -> Graph:
     lines = text.split("\n")
     if lines and lines[-1] == "":

@@ -28,7 +28,6 @@ omega^(i+1).
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations, product
@@ -90,12 +89,6 @@ class CnfOrdinal:
 ZERO = CnfOrdinal()
 
 
-def from_int(value: int) -> CnfOrdinal:
-    if value < 0:
-        raise ValueError("ordinals are non-negative")
-    return CnfOrdinal(((0, value),)) if value else ZERO
-
-
 def omega_power(exp: int, coeff: int = 1) -> CnfOrdinal:
     return CnfOrdinal(((exp, coeff),))
 
@@ -130,36 +123,6 @@ def ord_print(x: CnfOrdinal) -> str:
         else:
             parts.append(f"w^{e}*{c}")
     return "+".join(parts)
-
-
-_TERM_RE = re.compile(r"w\^(\d+)\*(\d+)|w\*(\d+)|(\d+)")
-
-
-def ord_parse(text: str, d: int | None = None) -> CnfOrdinal:
-    """Parse the ordinal grammar; `d`, when given, bounds the exponents."""
-    s = text.strip()
-    if s == "0":
-        return ZERO
-    terms = []
-    for tok in s.split("+"):
-        m = _TERM_RE.fullmatch(tok)
-        if m is None:
-            raise ValueError(f"malformed ordinal term {tok!r}")
-        if m.group(1) is not None:
-            e, c = int(m.group(1)), int(m.group(2))
-        elif m.group(3) is not None:
-            e, c = 1, int(m.group(3))
-        else:
-            e, c = 0, int(m.group(4))
-        if c < 1:
-            raise ValueError(f"coefficient must be >= 1 in {text!r}")
-        if d is not None and e >= d:
-            raise ValueError(f"exponent {e} not below the bound {d}")
-        terms.append((e, c))
-    for k in range(1, len(terms)):
-        if terms[k - 1][0] <= terms[k][0]:
-            raise ValueError(f"exponents not strictly descending in {text!r}")
-    return CnfOrdinal(tuple(terms))
 
 
 def acc_member(gamma: CnfOrdinal, alpha: CnfOrdinal, i: int) -> bool:

@@ -10,10 +10,10 @@ simple path with the same endpoints.
 Relating a < b whenever the pair is well-connected yields a strict order,
 kept as one successor bitmask per vertex: the a-th mask holds the b > a
 reachable from a above a.  Concatenating witness paths shows it is
-transitive, and its predecessor sets are linearly ordered; tree_check
-asserts both on concrete inputs, and a failure there is a test failure,
-not a silent assumption.  Chains come from level masks: level k holds
-the vertices that start a chain of k + 1 vertices.
+transitive, and its predecessor sets are linearly ordered; the tree_check
+oracle in tests/oracles.py asserts both on concrete inputs, and a failure
+there is a test failure, not a silent assumption.  Chains come from level
+masks: level k holds the vertices that start a chain of k + 1 vertices.
 """
 
 from __future__ import annotations
@@ -61,23 +61,12 @@ def _tree_path(parent: dict[int, int], b: int) -> tuple[int, ...] | None:
     return tuple(reversed(path))
 
 
-def wc_pair(c: Coloring, alpha: int, beta: int, palette: Palette) -> tuple[int, ...] | None:
-    """Witnessing path for the pair, or None: the path to beta in the
-    search tree from alpha over vertices >= alpha along palette-colored
-    edges."""
-    if not 0 <= alpha < c.n or not 0 <= beta < c.n:
-        raise ValueError(f"pair ({alpha}, {beta}) out of range for n={c.n}")
-    if alpha >= beta:
-        raise ValueError("need alpha < beta")
-    _check_palette(c, palette)
-    return _tree_path(_search_tree(palette_adjacency(c, palette.members), alpha), beta)
-
-
 def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
     """Certificate with a path per pair when every pair of X is
     well-connected in the palette; singletons and the empty set qualify
-    vacuously.  One search tree per vertex of X gives its paths to the
-    larger ones, the same paths wc_pair gives."""
+    vacuously.  The path of a pair a < b is the path to b in the
+    breadth-first search tree from a, so one tree per vertex of X gives
+    its paths to the larger ones."""
     xs = tuple(sorted(set(X)))
     for v in xs:
         if not 0 <= v < c.n:
@@ -99,20 +88,15 @@ def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate
     return WcCertificate(n, lam, xs, palette, paths)
 
 
-def wc_order(c: Coloring, palette: Palette) -> list[int]:
-    """Successor masks of the relation: bit b of the a-th mask is set
-    exactly when a < b and the pair is well-connected in the palette.
+def wc_order_rows(adj) -> list[int]:
+    """Successor masks of the relation on the palette's adjacency rows
+    `adj`: bit b of the a-th mask is set exactly when a < b and the pair
+    is well-connected in the palette.
 
     One reachability sweep per source and no search-tree parents:
     threshold search builds orders by the thousand and needs no paths;
     is_wc_set builds trees for the chain it certifies.
     """
-    _check_palette(c, palette)
-    return wc_order_rows(palette_adjacency(c, palette.members))
-
-
-def wc_order_rows(adj) -> list[int]:
-    """wc_order on the palette's adjacency rows `adj`."""
     return [reach(1 << a, adj, -1 << a) ^ 1 << a for a in range(len(adj))]
 
 
@@ -151,27 +135,3 @@ def chain_of_length(succ, m: int) -> tuple[int, ...] | None:
         out.append(v)
         cands = succ[v]
     return tuple(out)
-
-
-def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
-    """A maximum-size set well-connected in the palette.
-
-    Computed as a longest chain of the order; ties break to the
-    lexicographically least vertex list.
-    """
-    succ = wc_order(c, palette)
-    return chain_of_length(succ, len(_chain_levels(succ, c.n)))
-
-
-def tree_check(c: Coloring, palette: Palette) -> bool:
-    """Is the relation a strict partial order with linearly ordered
-    predecessor sets?  Expected true for every coloring and palette."""
-    succ = wc_order(c, palette)
-    preds = [0] * c.n
-    for a, s in enumerate(succ):
-        for b in bits(s):
-            if succ[b] & ~s:
-                return False
-            preds[b] |= 1 << a
-    # Each predecessor of b relates to every larger predecessor of b.
-    return all(not p & -2 << a & ~succ[a] for p in preds for a in bits(p))

@@ -12,13 +12,25 @@ use (the canonical form is the slow oracle for the enumeration's
 restricted-growth strings and keys), the pairs of a successor-mask
 order, and the per-pair list search whose paths the library's wc
 certificates must reproduce byte for byte.
+
+The rest are helpers that only the tests call, kept out of the package:
+the colorings of the scanner's restricted-growth strings
+(canonical_colorings); the wc order of a coloring (wc_order), its
+longest chain (longest_wc_set) and tree_check, the executable form of
+the claim that the relation is a tree order; graph construction and
+serialization (make_graph, write_graph); and ordinal construction and
+parsing (from_int, ord_parse).
 """
 
+import re
 from itertools import combinations
 
-from connramsey import Coloring, Graph
+from connramsey import CnfOrdinal, Coloring, Graph, Palette
+from connramsey.arrows import _restricted_growth
 from connramsey.connectivity import kappa_connected_mask
 from connramsey.core import bits, palette_adjacency
+from connramsey.ordinals import ZERO
+from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
 
 def kappa_connected_bruteforce(g, kappa):
@@ -252,3 +264,102 @@ def wc_pair_reference(c, alpha, beta, members):
                     nxt.append(w)
         frontier = nxt
     return None
+
+
+def canonical_colorings(n, lam):
+    """One coloring per color-permutation orbit, in the order of the
+    scanner's restricted-growth strings."""
+    return (Coloring(n, lam, colors) for colors in _restricted_growth(n, lam))
+
+
+def wc_order(c: Coloring, palette: Palette) -> list[int]:
+    """Successor masks of the relation: bit b of the a-th mask is set
+    exactly when a < b and the pair is well-connected in the palette.
+    The library's wc_order_rows on the coloring's palette rows."""
+    _check_palette(c, palette)
+    return wc_order_rows(palette_adjacency(c, palette.members))
+
+
+def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
+    """A maximum-size set well-connected in the palette.
+
+    Computed as a longest chain of the order; ties break to the
+    lexicographically least vertex list.
+    """
+    succ = wc_order(c, palette)
+    return chain_of_length(succ, len(_chain_levels(succ, c.n)))
+
+
+def tree_check(c: Coloring, palette: Palette) -> bool:
+    """Is the relation a strict partial order with linearly ordered
+    predecessor sets?  Expected true for every coloring and palette."""
+    succ = wc_order(c, palette)
+    preds = [0] * c.n
+    for a, s in enumerate(succ):
+        for b in bits(s):
+            if succ[b] & ~s:
+                return False
+            preds[b] |= 1 << a
+    # Each predecessor of b relates to every larger predecessor of b.
+    return all(not p & -2 << a & ~succ[a] for p in preds for a in bits(p))
+
+
+def make_graph(vertices, edges) -> Graph:
+    """Graph from any iterables; edge pairs are normalized to a < b."""
+    vs = tuple(sorted(set(vertices)))
+    es = set()
+    for a, b in edges:
+        if a == b:
+            raise ValueError(f"loop at vertex {a}")
+        es.add((a, b) if a < b else (b, a))
+    return Graph(vs, frozenset(es))
+
+
+def write_graph(g: Graph) -> str:
+    """Serialize: header `<n> <e>`, then `<a> <b>` edge lines, a < b.
+
+    The file format fixes the vertex universe to 0..n-1.
+    """
+    n = len(g.vertices)
+    if g.vertices != tuple(range(n)):
+        raise ValueError("graph files require vertices 0..n-1")
+    lines = [f"{n} {len(g.edges)}"]
+    for a, b in sorted(g.edges):
+        lines.append(f"{a} {b}")
+    return "\n".join(lines) + "\n"
+
+
+def from_int(value: int) -> CnfOrdinal:
+    if value < 0:
+        raise ValueError("ordinals are non-negative")
+    return CnfOrdinal(((0, value),)) if value else ZERO
+
+
+_TERM_RE = re.compile(r"w\^(\d+)\*(\d+)|w\*(\d+)|(\d+)")
+
+
+def ord_parse(text: str, d: int | None = None) -> CnfOrdinal:
+    """Parse the ordinal grammar; `d`, when given, bounds the exponents."""
+    s = text.strip()
+    if s == "0":
+        return ZERO
+    terms = []
+    for tok in s.split("+"):
+        m = _TERM_RE.fullmatch(tok)
+        if m is None:
+            raise ValueError(f"malformed ordinal term {tok!r}")
+        if m.group(1) is not None:
+            e, c = int(m.group(1)), int(m.group(2))
+        elif m.group(3) is not None:
+            e, c = 1, int(m.group(3))
+        else:
+            e, c = 0, int(m.group(4))
+        if c < 1:
+            raise ValueError(f"coefficient must be >= 1 in {text!r}")
+        if d is not None and e >= d:
+            raise ValueError(f"exponent {e} not below the bound {d}")
+        terms.append((e, c))
+    for k in range(1, len(terms)):
+        if terms[k - 1][0] <= terms[k][0]:
+            raise ValueError(f"exponents not strictly descending in {text!r}")
+    return CnfOrdinal(tuple(terms))

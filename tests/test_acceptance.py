@@ -19,12 +19,8 @@ from connramsey import (
     decide,
     delta_coloring,
     kappa_connected_fast,
-    longest_wc_set,
-    make_graph,
     ramsey_number,
-    tree_check,
     verify_certificate,
-    wc_order,
     write_coloring,
 )
 from connramsey.cli import main
@@ -42,8 +38,12 @@ from oracles import (
     has_monochromatic_m_set,
     is_complete,
     kappa_connected_bruteforce,
+    longest_wc_set,
+    make_graph,
     max_wc_subset_exhaustive,
     order_pairs,
+    tree_check,
+    wc_order,
 )
 
 

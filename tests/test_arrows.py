@@ -11,8 +11,6 @@ from connramsey import (
     RelationQuery,
     ResourceCapExceeded,
     decide,
-    enumerate_colorings_canonical,
-    palette_tuples,
     ramsey_number,
 )
 from connramsey import arrows
@@ -24,11 +22,13 @@ from connramsey.arrows import (
     _top_verdicts,
     _unpack,
     _witness,
+    palette_tuples,
 )
 from connramsey.core import Coloring, Palette, palette_adjacency
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import (
     canonical_color_form,
+    canonical_colorings,
     has_monochromatic_m_set,
     hc_witness_bruteforce,
     hc_witness_sweep,
@@ -241,15 +241,15 @@ def test_budget_monotonicity():
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_colorings_canonical(2, 2))) == 1
-    threes = [c.colors for c in enumerate_colorings_canonical(3, 2)]
+    assert len(list(canonical_colorings(2, 2))) == 1
+    threes = [c.colors for c in canonical_colorings(3, 2)]
     assert threes == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    assert len(list(enumerate_colorings_canonical(4, 2))) == 32
+    assert len(list(canonical_colorings(4, 2))) == 32
 
 
 def test_enumerate_yields_canonical_orbit_representatives():
     for n, lam in ((3, 2), (4, 2), (3, 3)):
-        reps = list(enumerate_colorings_canonical(n, lam))
+        reps = list(canonical_colorings(n, lam))
         assert all(canonical_color_form(c) == c for c in reps)
         # one representative per orbit of every coloring
         orbit_reps = {canonical_color_form(c) for c in all_colorings(n, lam)}
@@ -258,9 +258,9 @@ def test_enumerate_yields_canonical_orbit_representatives():
 
 def test_enumerate_validation():
     with pytest.raises(ValueError):
-        list(enumerate_colorings_canonical(1, 2))
+        list(canonical_colorings(1, 2))
     with pytest.raises(ValueError):
-        list(enumerate_colorings_canonical(3, 0))
+        list(canonical_colorings(3, 0))
 
 
 def test_ramsey_trivial_edge():
@@ -415,7 +415,7 @@ def test_extension_side_finishes_an_exhausted_search():
     assert res.threshold is None and res.extremal.n == 5
     assert res == drain(_scan_levels(query, 2, 5, palettes))
     assert res.extremal == next(
-        c for c in enumerate_colorings_canonical(5, 2) if not decide(c, query).holds
+        c for c in canonical_colorings(5, 2) if not decide(c, query).holds
     )
 
 
@@ -426,7 +426,7 @@ def test_verdict_helper_agrees_with_decide(lam):
         for mode, m, j in RELATIONS:
             query = RelationQuery(mode, m, kappa, j)
             for n in range(2, 6):
-                for c in enumerate_colorings_canonical(n, lam):
+                for c in canonical_colorings(n, lam):
                     if n >= m:
                         verdict = witness(c, query, palettes) is not None
                         assert verdict == decide(c, query).holds
@@ -447,7 +447,7 @@ def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
             query = RelationQuery(mode, m, kappa, j)
             palettes = _maximal_palettes(lam, kappa)
             for n in range(m, n_max + 1):
-                for c in enumerate_colorings_canonical(n - 1, lam):
+                for c in canonical_colorings(n - 1, lam):
                     if not fails(c, query):
                         continue
                     verdicts = _top_verdicts(query, n, lam, c.colors, palettes)
@@ -468,7 +468,7 @@ def test_extension_side_memo_hits_at_three_colors(mode, m, j, monkeypatch):
     query = RelationQuery(mode, m, 1, j)
     palettes = _maximal_palettes(3, 1)
     assert drain(_extend_levels(query, 3, 5, palettes)) == drain(_scan_levels(query, 3, 5, palettes))
-    parents = [c for c in enumerate_colorings_canonical(4, 3) if fails(c, query)]
+    parents = [c for c in canonical_colorings(4, 3) if fails(c, query)]
     calls = []
     monkeypatch.setattr(arrows, "_witness", lambda *args: calls.append(args) or _witness(*args))
     for c in parents:
@@ -511,7 +511,7 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
             query = RelationQuery("hc", m, 1, j)
             palettes = _maximal_palettes(2, 1)
             for n in range(m - 1, 6):
-                for c in enumerate_colorings_canonical(n, 2):
+                for c in canonical_colorings(n, 2):
                     if n >= m and hc_witness_sweep(c, m, j, palettes) is not None:
                         continue
                     for ext in top_extensions(c):

@@ -22,9 +22,9 @@ from connramsey import (
     write_coloring,
 )
 from connramsey.cli import main
-from connramsey.connectivity import make_graph, write_graph
 from connramsey.generators import random_coloring
 from connramsey.wellconn import is_wc_set
+from oracles import make_graph, write_graph
 
 
 def run(capsys, *argv):
@@ -338,6 +338,13 @@ def test_negative_palette_color_exit_2(tmp_path, delta_file, capsys):
         '{"kind": "wc", "n": 4, "lambda": 2, "X": [0, 1], "Lambda": [-1], "paths": {"0,1": [0, 1]}}'
     )
     assert run(capsys, "verify", str(cert), delta_file) == want
+    # the range checks of is_wc_set
+    assert run(capsys, "check-wc", delta_file, "--set", "0,9", "--palette", "0") == (
+        2, "", "error: vertex 9 out of range for n=4\n"
+    )
+    assert run(capsys, "check-wc", delta_file, "--set", "0,1", "--palette", "5") == (
+        2, "", "error: palette color 5 out of range for lambda=2\n"
+    )
 
 
 def test_usage_errors_exit_2(tmp_path, delta_file, capsys):

@@ -9,13 +9,18 @@ from connramsey import (
     FormatError,
     Graph,
     kappa_connected_fast,
-    make_graph,
     read_graph,
-    write_graph,
 )
 from connramsey.connectivity import _adjacency, _cut_at_least, _vertex_mask, kappa_connected_mask
 from connramsey.verify import _disjoint_paths_at_least
-from oracles import all_graphs_on, is_complete, kappa_connected_bruteforce, min_vertex_separator
+from oracles import (
+    all_graphs_on,
+    is_complete,
+    kappa_connected_bruteforce,
+    make_graph,
+    min_vertex_separator,
+    write_graph,
+)
 
 
 def complete_graph(m):

@@ -12,11 +12,10 @@ from connramsey import (
     decide,
     delta_coloring,
     hub_coloring,
-    make_graph,
     random_coloring,
 )
 from connramsey.generators import first_difference
-from oracles import kappa_connected_bruteforce
+from oracles import kappa_connected_bruteforce, make_graph
 
 
 @given(st.integers(1, 6), st.data())

@@ -15,14 +15,13 @@ from connramsey.ordinals import (
     coloring_from_csystem,
     derived_color,
     enumerate_limits,
-    from_int,
     i_min,
     omega_power,
-    ord_parse,
     ord_print,
     sample_universe,
     successor,
 )
+from oracles import from_int, ord_parse
 
 
 @st.composite

@@ -1,0 +1,52 @@
+"""The package defines only what its own code or the scripts reach.
+
+A top-level function or class of a module under src/connramsey that
+nothing in src (outside its own definition and the package's re-exports
+in __init__.py) or in scripts/ refers to serves only the tests, and
+belongs in tests/oracles.py.  References are read from the syntax tree:
+names, attribute names and imported names; docstrings and comments do
+not count.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "connramsey"
+
+
+def referenced_names(tree):
+    """How often the code of tree names each identifier."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names
+
+
+def unreached_definitions():
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    scripts = [ast.parse(path.read_text()) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    total = Counter()
+    for tree in [*modules.values(), *scripts]:
+        total.update(referenced_names(tree))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and total[node.name] == referenced_names(node)[node.name]
+    ]
+
+
+def test_every_definition_is_reached_from_src_or_scripts():
+    assert unreached_definitions() == []

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import connramsey
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -59,3 +61,24 @@ def test_club_axioms_report_finds_no_violation():
     rows = [line for line in done.stdout.splitlines() if line.startswith("d=")]
     assert len(rows) == 4
     assert all(row.split(": ", 1)[1].startswith("ok ") for row in rows)
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("run_thresholds.py", ["--modes", "classical", "--min-m", "3", "--max-m", "5", "--max-n", "4"],
+     "--max-n must be at least --max-m"),
+    ("run_thresholds.py", ["--colors", "0"], "--colors must be at least 1"),
+    ("run_thresholds.py", ["--palette-size", "0"], "--palette-size must be at least 1"),
+    ("run_thresholds.py", ["--min-m", "1"], "--min-m must be at least 2"),
+    ("run_thresholds.py", ["--time-limit", "nan"], "--time-limit must be a number of seconds"),
+    ("club_axioms_report.py", ["--max-d", "0"], "need d >= 1"),
+])
+def test_bad_parameter_exits_2_before_any_cell(script, argv, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr

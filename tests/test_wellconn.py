@@ -3,26 +3,34 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from connramsey import (
     Coloring,
     Palette,
     RelationQuery,
     decide,
     is_wc_set,
-    longest_wc_set,
     make_coloring,
-    tree_check,
-    wc_order,
-    wc_pair,
 )
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
-from oracles import max_wc_subset_exhaustive, order_pairs, wc_pair_reference, wc_pairs_exhaustive
+from oracles import (
+    longest_wc_set,
+    max_wc_subset_exhaustive,
+    order_pairs,
+    tree_check,
+    wc_order,
+    wc_pair_reference,
+    wc_pairs_exhaustive,
+)
 
 
 def pal(*colors):
     return Palette(frozenset(colors))
+
+
+def pair_path(c, a, b, palette):
+    """The witnessing path of the pair a < b that is_wc_set certifies, or None."""
+    cert = is_wc_set(c, (a, b), palette)
+    return None if cert is None else cert.paths[(a, b)]
 
 
 def check_path(c, a, b, palette, path):
@@ -34,31 +42,21 @@ def check_path(c, a, b, palette, path):
 
 def test_wc_pair_detour_above_source():
     c = make_coloring(3, 2, [(0, 1, 1), (0, 2, 0), (1, 2, 0)])
-    path = wc_pair(c, 0, 1, pal(0))
+    path = pair_path(c, 0, 1, pal(0))
     assert path == (0, 2, 1)
 
 
 def test_wc_pair_blocked_below_source():
     c = make_coloring(3, 2, [(0, 1, 0), (0, 2, 0), (1, 2, 1)])
-    assert wc_pair(c, 1, 2, pal(0)) is None
+    assert pair_path(c, 1, 2, pal(0)) is None
 
 
 def test_wc_pair_direct_edge():
     c = random_coloring(6, 3, seed=0)
     for a, b in combinations(range(6), 2):
-        path = wc_pair(c, a, b, pal(c.color(a, b)))
+        path = pair_path(c, a, b, pal(c.color(a, b)))
         assert path is not None
         check_path(c, a, b, pal(c.color(a, b)), path)
-
-
-def test_wc_pair_validation():
-    c = random_coloring(4, 2, seed=1)
-    with pytest.raises(ValueError, match="alpha < beta"):
-        wc_pair(c, 2, 2, pal(0))
-    with pytest.raises(ValueError, match="out of range"):
-        wc_pair(c, 0, 9, pal(0))
-    with pytest.raises(ValueError, match="palette color"):
-        wc_pair(c, 0, 1, pal(5))
 
 
 def test_is_wc_set_constant_coloring():
@@ -119,7 +117,7 @@ def test_wc_pair_witness_is_valid_path():
         palette = pal(rng.randrange(3))
         order = wc_order(c, palette)
         for a, b in order_pairs(order):
-            path = wc_pair(c, a, b, palette)
+            path = pair_path(c, a, b, palette)
             assert path is not None
             check_path(c, a, b, palette, path)
 
@@ -191,15 +189,15 @@ def path_corpus():
 
 
 def test_paths_equal_the_list_ordered_search():
-    # wc_pair, is_wc_set and wc decide keep the paths of the per-pair
-    # search, byte for byte
+    # is_wc_set on pairs and on chains, and wc decide, keep the paths of
+    # the per-pair search, byte for byte
     for c, palettes in path_corpus():
         for members in palettes:
             palette = Palette(members)
             want = {
                 (a, b): wc_pair_reference(c, a, b, members) for a, b in combinations(range(c.n), 2)
             }
-            assert {p: wc_pair(c, *p, palette) for p in want} == want
+            assert {p: pair_path(c, *p, palette) for p in want} == want
             chain = longest_wc_set(c, palette)
             cert = is_wc_set(c, chain, palette)
             assert cert.paths == {p: want[p] for p in combinations(chain, 2)}
