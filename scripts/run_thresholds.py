@@ -36,14 +36,17 @@ def main() -> int:
     parser.add_argument("--time-limit", type=float, default=None)
     parser.add_argument("--show-extremal", action="store_true")
     args = parser.parse_args()
-    # ramsey_number rejects these; say so before the first cell runs.
+    # ramsey_number rejects these, and a swapped m range would run no
+    # cell at all; say so before the first cell runs.
     if args.colors < 1:
         parser.error(f"--colors must be at least 1, got {args.colors}")
     if args.palette_size < 1:
         parser.error(f"--palette-size must be at least 1, got {args.palette_size}")
     if args.min_m < 2:
         parser.error(f"--min-m must be at least 2, got {args.min_m}")
-    if args.min_m <= args.max_m and args.max_n < args.max_m:
+    if args.min_m > args.max_m:
+        parser.error(f"--min-m must be at most --max-m, got {args.min_m} > {args.max_m}")
+    if args.max_n < args.max_m:
         parser.error(f"--max-n must be at least --max-m, got {args.max_n} < {args.max_m}")
     if args.time_limit is not None and math.isnan(args.time_limit):
         parser.error("--time-limit must be a number of seconds, got nan")

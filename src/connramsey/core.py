@@ -14,8 +14,9 @@ share between concurrent tasks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
 
 
 class FormatError(ValueError):
@@ -59,9 +60,9 @@ class Coloring:
             raise ValueError(
                 f"expected {want} pair colors for n={self.n}, got {len(self.colors)}"
             )
-        for x in self.colors:
-            if not 0 <= x < self.lam:
-                raise ValueError(f"color {x} out of range 0..{self.lam - 1}")
+        if self.colors and not (0 <= min(self.colors) and max(self.colors) < self.lam):
+            x = next(x for x in self.colors if not 0 <= x < self.lam)
+            raise ValueError(f"color {x} out of range 0..{self.lam - 1}")
 
     def color(self, a: int, b: int) -> int:
         """Color of the unordered pair {a, b}."""
@@ -153,8 +154,37 @@ def write_coloring(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
+    """The colors of pair lines `<a> <b> <color>` in ascending lexicographic
+    pair order, each number followed by one space, or None for any other
+    layout.
+
+    The words `<a> ` and `<b> ` are stripped off every line in two passes.
+    removeprefix drops a whole word or nothing, so the lengths add up only
+    when every line began with its pair; the rest must be one integer.
+    """
+    words = [f"{v} " for v in range(n)]
+    firsts = chain.from_iterable(map(repeat, words, range(n - 1, -1, -1)))
+    seconds = chain.from_iterable(words[a + 1 :] for a in range(n))
+    tails = list(map(str.removeprefix, map(str.removeprefix, body, firsts), seconds))
+    # Each vertex lies in n - 1 pairs.
+    if sum(map(len, body)) != (n - 1) * sum(map(len, words)) + sum(map(len, tails)):
+        return None
+    try:
+        return tuple(map(int, tails))
+    except ValueError:
+        return None
+
+
 def read_coloring(text: str) -> Coloring:
-    """Parse the coloring file format; inverse of write_coloring."""
+    """Parse the coloring file format; inverse of write_coloring.
+
+    The layout write_coloring writes, pairs in ascending lexicographic
+    order with single spaces, is read with whole-list operations.  Any
+    other layout accepted here (lines in any order, runs of spaces or
+    tabs) and every rejection go through the per-line parser, which names
+    the first bad line or pair.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -173,6 +203,12 @@ def read_coloring(text: str) -> Coloring:
     body = lines[1:]
     if len(body) != want:
         raise FormatError(f"expected {want} pair lines, got {len(body)}")
+    colors = _lexicographic_colors(n, body)
+    if colors is not None:
+        try:
+            return Coloring(n, lam, colors)
+        except ValueError:
+            pass  # a color out of range: the per-line parser names its pair
     entries = []
     for ln in body:
         parts = ln.split()
@@ -306,19 +342,57 @@ def _as_int_list(v, what):
 
 
 def _unique_keys(pairs):
-    doc = {}
-    for key, val in pairs:
-        if key in doc:
-            raise FormatError(f"duplicate key {key!r} in certificate")
-        doc[key] = val
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r} in certificate")
+            seen.add(key)
     return doc
+
+
+# A path key is "a,b" in the spelling str(int) gives: "00,1", " 0,1",
+# "+0,1" or "-0,1" would name the same pair as a canonical key.
+_PATH_KEY = re.compile(r"(?:0|-?[1-9][0-9]*),(?:0|-?[1-9][0-9]*)")
+
+# Fewer paths than this go straight to the per-key loop, which is faster
+# on them: on the 6 paths of a wc m=4 certificate the bulk checks cost
+# more than they save.
+_BULK_PATHS = 64
+
+
+def _bulk_paths(raw: dict):
+    """The paths of a 'paths' object whose keys and values all pass,
+    checked together, or None when any one does not.
+
+    Each list in raw is replaced by its tuple in place, so that a list is
+    freed as its tuple is made and the two copies never coexist.
+    """
+    if not (
+        all(map(_PATH_KEY.fullmatch, raw))
+        and set(map(type, raw.values())) <= {list}
+        and set(map(type, chain.from_iterable(raw.values()))) <= {int}
+    ):
+        return None
+    # The keys join into a JSON list of integers, which the C decoder
+    # converts faster than int() converts one string at a time.
+    try:
+        ends = iter(json.loads(f"[{','.join(raw)}]"))
+    except ValueError:  # a number too long to convert
+        return None
+    raw.update(zip(raw, map(tuple, raw.values())))
+    return dict(zip(zip(ends, ends), raw.values()))
 
 
 def certificate_from_json(text: str):
     """Parse a certificate document.
 
     Structural parsing only: semantic validity against a coloring is the
-    verifier's job.
+    verifier's job.  The path keys and values of a wc certificate with
+    many paths are checked all together; a document with few paths or a
+    malformed one runs the per-key loop, which rejects the first in
+    document order.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -339,6 +413,10 @@ def certificate_from_json(text: str):
         raw = doc.get("paths")
         if not isinstance(raw, dict):
             raise FormatError("wc certificate needs a 'paths' object")
+        paths = _bulk_paths(raw) if len(raw) >= _BULK_PATHS else None
+        if paths is not None:
+            return WcCertificate(n, lam, X, palette, paths)
+        # A few paths, or a malformed key or value: the first is rejected.
         paths = {}
         for key, val in raw.items():
             parts = key.split(",")

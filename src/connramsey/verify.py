@@ -1,16 +1,18 @@
 """Independent recheck of certificates against a coloring.
 
 The verifier shares nothing with the deciders beyond the data model in
-`core`: wc paths are rechecked edge by edge, and hc connectivity is
+`core`: wc paths are rechecked edge by edge, each edge color read from
+the coloring's color tuple by pair index, and hc connectivity is
 re-derived from Menger's theorem (Menger, Fund. Math. 10, 1927).  A
 graph is j-connected exactly when every non-adjacent pair is joined by j
 internally vertex-disjoint paths.  So a complete (X, E) passes at once,
 and a non-complete one on at most j + 1 vertices fails, because a
 non-adjacent pair has at most j - 1 other vertices to route through.
-Each pair's paths are counted by augmenting paths on the vertex-split
-graph, kept as a residual dict-of-dicts, which stops at j.  That is
-polynomial in |X|, where removing every set of fewer than j vertices is
-exponential in j.
+The vertex-split graph is built once per certificate, as a residual
+dict-of-dicts.  Each non-adjacent pair's paths are still counted on their
+own, by augmenting paths that stop at j, and the pair's flow is undone
+before the next pair.  That is polynomial in |X|, where removing every
+set of fewer than j vertices is exponential in j.
 """
 
 from __future__ import annotations
@@ -18,48 +20,67 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .core import Coloring, HcCertificate, WcCertificate
+from .core import Coloring, HcCertificate, WcCertificate, pair_index
 
 
-def _disjoint_paths_at_least(nbrs: dict[int, set[int]], s: int, t: int, k: int) -> bool:
-    """At least k internally vertex-disjoint s-t paths, s and t non-adjacent.
+def _split_graph(nbrs: dict[int, set[int]]) -> dict[int, dict[int, int]]:
+    """The vertex-split graph of nbrs as a residual dict-of-dicts.
 
-    Each vertex v is an entry (v, 0) and an exit (v, 1) joined by an arc
-    of capacity one, and each edge vw gives the arcs (v, 1) -> (w, 0) and
-    (w, 1) -> (v, 0); the flow runs from s's exit to t's entry.  Every arc
-    is stored with its reverse, which starts at capacity zero, so a later
-    path can cancel flow.
+    Each vertex v is an entry v and an exit ~v = -v - 1, which no vertex
+    is, joined by an arc of capacity one; each edge vw gives the arcs
+    ~v -> w and ~w -> v.
+    Every arc is stored with its reverse, which starts at capacity zero,
+    so that a later path can cancel flow.
     """
-    residual = {(v, side): {} for v in nbrs for side in (0, 1)}
+    residual: dict[int, dict[int, int]] = {x: {} for v in nbrs for x in (v, ~v)}
 
     def arc(x, y):
         residual[x][y] = 1
         residual[y].setdefault(x, 0)
 
     for v, ws in nbrs.items():
-        if v != s and v != t:
-            arc((v, 0), (v, 1))
+        arc(v, ~v)
         for w in ws:
-            arc((v, 1), (w, 0))
-    source, sink = (s, 1), (t, 0)
-    for _ in range(k):
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            x = queue.popleft()
-            for y, cap in residual[x].items():
-                if cap and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if sink not in parent:
-            return False
-        y = sink
-        while y != source:
-            x = parent[y]
-            residual[x][y] -= 1
-            residual[y][x] += 1
-            y = x
-    return True
+            arc(~v, w)
+    return residual
+
+
+def _disjoint_paths_at_least(
+    residual: dict[int, dict[int, int]], s: int, t: int, k: int
+) -> bool:
+    """At least k internally vertex-disjoint s-t paths, s and t non-adjacent,
+    in the split graph `residual` of _split_graph.
+
+    The flow runs from s's exit to t's entry, so the arcs inside s and t
+    carry none of it.  It is undone before returning, which leaves the
+    split graph ready for the next pair.
+    """
+    source, sink = ~s, t
+    pushed = []
+    try:
+        for _ in range(k):
+            parent = {source: source}
+            queue = deque([source])
+            while queue and sink not in parent:
+                x = queue.popleft()
+                for y, cap in residual[x].items():
+                    if cap and y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            if sink not in parent:
+                return False
+            y = sink
+            while y != source:
+                x = parent[y]
+                residual[x][y] -= 1
+                residual[y][x] += 1
+                pushed.append((x, y))
+                y = x
+        return True
+    finally:
+        for x, y in pushed:
+            residual[x][y] += 1
+            residual[y][x] -= 1
 
 
 def verify_certificate(cert, coloring: Coloring) -> str | None:
@@ -84,8 +105,10 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
     for x in allowed:
         if not 0 <= x < cert.lam:
             return f"palette color {x} out of range"
+    colors = coloring.colors
     if isinstance(cert, WcCertificate):
-        want = set(combinations(cert.X, 2))
+        pairs = list(combinations(cert.X, 2))  # lexicographic, as X ascends
+        want = set(pairs)
         have = set(cert.paths)
         missing = want - have
         if missing:
@@ -93,7 +116,7 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
         extra = have - want
         if extra:
             return f"unexpected path key {min(extra)} outside the pairs of X"
-        for (a, b) in sorted(want):
+        for a, b in pairs:
             path = cert.paths[(a, b)]
             if len(path) < 2 or path[0] != a or path[-1] != b:
                 return f"path for ({a}, {b}) does not run from {a} to {b}"
@@ -105,7 +128,7 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
                 if v < a:
                     return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
             for u, w in zip(path, path[1:]):
-                col = coloring.color(u, w)
+                col = colors[pair_index(cert.n, u, w) if u < w else pair_index(cert.n, w, u)]
                 if col not in allowed:
                     return f"path edge ({u}, {w}) colored {col} outside the palette"
         return None
@@ -118,13 +141,16 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
                 return f"edge ({a}, {b}) must have a < b"
             if a not in nbrs or b not in nbrs:
                 return f"edge ({a}, {b}) leaves X"
-            col = coloring.color(a, b)
+            col = colors[pair_index(cert.n, a, b)]
             if col not in allowed:
                 return f"edge ({a}, {b}) colored {col} outside the palette"
             nbrs[a].add(b)
             nbrs[b].add(a)
+        if len(cert.E) == len(cert.X) * (len(cert.X) - 1) // 2:
+            return None  # complete, so no pair is non-adjacent
+        residual = _split_graph(nbrs)
         for a, b in combinations(cert.X, 2):
-            if b not in nbrs[a] and not _disjoint_paths_at_least(nbrs, a, b, cert.j):
+            if b not in nbrs[a] and not _disjoint_paths_at_least(residual, a, b, cert.j):
                 return f"(X, E) is not {cert.j}-connected"
         return None
     return f"unknown certificate type {type(cert).__name__}"

@@ -20,15 +20,31 @@ longest chain (longest_wc_set) and tree_check, the executable form of
 the claim that the relation is a tree order; graph construction and
 serialization (make_graph, write_graph); and ordinal construction and
 parsing (from_int, ord_parse).
+
+Last come the per-line and per-pair coloring and certificate readers and
+verifier (read_coloring_reference, certificate_from_json_reference,
+verify_certificate_reference), the references the library's bulk
+versions are held to.
 """
 
+import json
 import re
+from collections import deque
 from itertools import combinations
 
-from connramsey import CnfOrdinal, Coloring, Graph, Palette
+from connramsey import (
+    CnfOrdinal,
+    Coloring,
+    FormatError,
+    Graph,
+    HcCertificate,
+    Palette,
+    WcCertificate,
+    make_coloring,
+)
 from connramsey.arrows import _restricted_growth
 from connramsey.connectivity import kappa_connected_mask
-from connramsey.core import bits, palette_adjacency
+from connramsey.core import _as_int, _as_int_list, bits, palette_adjacency
 from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
@@ -363,3 +379,218 @@ def ord_parse(text: str, d: int | None = None) -> CnfOrdinal:
         if terms[k - 1][0] <= terms[k][0]:
             raise ValueError(f"exponents not strictly descending in {text!r}")
     return CnfOrdinal(tuple(terms))
+
+
+# The coloring and certificate readers and the verifier as they were
+# before their bulk fast paths: one Python step per line, path or pair.
+# The differential tests in tests/test_bulk_codecs.py hold the library's
+# versions to the same objects, rejection messages and violations.
+
+
+def read_coloring_reference(text: str) -> Coloring:
+    """Parse the coloring file format; inverse of write_coloring."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FormatError("empty coloring file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"malformed header {lines[0]!r}: expected '<n> <lambda>'")
+    try:
+        n, lam = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"malformed header {lines[0]!r}") from exc
+    if n < 0 or lam < 1:
+        raise FormatError(f"bad header values n={n} lambda={lam}")
+    want = n * (n - 1) // 2
+    body = lines[1:]
+    if len(body) != want:
+        raise FormatError(f"expected {want} pair lines, got {len(body)}")
+    entries = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FormatError(f"malformed pair line {ln!r}")
+        try:
+            a, b, col = map(int, parts)
+        except ValueError as exc:
+            raise FormatError(f"malformed pair line {ln!r}") from exc
+        if a >= b:
+            raise FormatError(f"pair line {ln!r}: need a < b")
+        entries.append((a, b, col))
+    try:
+        return make_coloring(n, lam, entries)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _unique_keys_reference(pairs):
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise FormatError(f"duplicate key {key!r} in certificate")
+        doc[key] = val
+    return doc
+
+
+def certificate_from_json_reference(text: str):
+    """Parse a certificate document.
+
+    Structural parsing only: semantic validity against a coloring is the
+    verifier's job.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys_reference)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("certificate JSON is nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("certificate document must be a JSON object")
+    kind = doc.get("kind")
+    if kind not in ("wc", "hc"):
+        raise FormatError(f"certificate kind must be 'wc' or 'hc', got {kind!r}")
+    n = _as_int(doc, "n")
+    lam = _as_int(doc, "lambda")
+    X = tuple(_as_int_list(doc.get("X"), "X"))
+    palette = Palette(frozenset(_as_int_list(doc.get("Lambda"), "Lambda")))
+    if kind == "wc":
+        raw = doc.get("paths")
+        if not isinstance(raw, dict):
+            raise FormatError("wc certificate needs a 'paths' object")
+        paths = {}
+        for key, val in raw.items():
+            parts = key.split(",")
+            if len(parts) != 2:
+                raise FormatError(f"bad path key {key!r}: expected 'a,b'")
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise FormatError(f"bad path key {key!r}") from exc
+            if key != f"{a},{b}":
+                # "00,1" or " 0,1" would name the same pair as "0,1".
+                raise FormatError(f"bad path key {key!r}: expected '{a},{b}'")
+            paths[(a, b)] = tuple(_as_int_list(val, f"paths[{key}]"))
+        return WcCertificate(n, lam, X, palette, paths)
+    raw = doc.get("E")
+    if not isinstance(raw, list):
+        raise FormatError("hc certificate needs an 'E' list")
+    edges = set()
+    for item in raw:
+        pair = _as_int_list(item, "E entry")
+        if len(pair) != 2:
+            raise FormatError(f"bad edge {item!r}: expected [a, b]")
+        if (pair[0], pair[1]) in edges:
+            raise FormatError(f"duplicate edge {item!r}")
+        edges.add((pair[0], pair[1]))
+    return HcCertificate(n, lam, X, palette, frozenset(edges), _as_int(doc, "j"))
+
+
+def _disjoint_paths_reference(nbrs: dict[int, set[int]], s: int, t: int, k: int) -> bool:
+    """At least k internally vertex-disjoint s-t paths, s and t non-adjacent.
+
+    Each vertex v is an entry (v, 0) and an exit (v, 1) joined by an arc
+    of capacity one, and each edge vw gives the arcs (v, 1) -> (w, 0) and
+    (w, 1) -> (v, 0); the flow runs from s's exit to t's entry.  Every arc
+    is stored with its reverse, which starts at capacity zero, so a later
+    path can cancel flow.
+    """
+    residual = {(v, side): {} for v in nbrs for side in (0, 1)}
+
+    def arc(x, y):
+        residual[x][y] = 1
+        residual[y].setdefault(x, 0)
+
+    for v, ws in nbrs.items():
+        if v != s and v != t:
+            arc((v, 0), (v, 1))
+        for w in ws:
+            arc((v, 1), (w, 0))
+    source, sink = (s, 1), (t, 0)
+    for _ in range(k):
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            x = queue.popleft()
+            for y, cap in residual[x].items():
+                if cap and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            return False
+        y = sink
+        while y != source:
+            x = parent[y]
+            residual[x][y] -= 1
+            residual[y][x] += 1
+            y = x
+    return True
+
+
+def verify_certificate_reference(cert, coloring: Coloring) -> str | None:
+    """Recheck a certificate from scratch against a coloring.
+
+    Independent of the decision procedures: wc paths are rechecked edge
+    by edge, and hc connectivity is counted pair by pair in disjoint
+    paths, never through the decider's flow kernel.  Returns None when
+    valid, otherwise a description of the first violation found.
+    """
+    if cert.n != coloring.n or cert.lam != coloring.lam:
+        return (
+            f"certificate is for n={cert.n} lambda={cert.lam}, "
+            f"coloring has n={coloring.n} lambda={coloring.lam}"
+        )
+    for k, v in enumerate(cert.X):
+        if not 0 <= v < cert.n:
+            return f"vertex {v} of X out of range"
+        if k and cert.X[k - 1] >= v:
+            return "X is not strictly ascending"
+    allowed = set(cert.palette.members)
+    for x in allowed:
+        if not 0 <= x < cert.lam:
+            return f"palette color {x} out of range"
+    if isinstance(cert, WcCertificate):
+        want = set(combinations(cert.X, 2))
+        have = set(cert.paths)
+        missing = want - have
+        if missing:
+            return f"missing path for pair {min(missing)}"
+        extra = have - want
+        if extra:
+            return f"unexpected path key {min(extra)} outside the pairs of X"
+        for (a, b) in sorted(want):
+            path = cert.paths[(a, b)]
+            if len(path) < 2 or path[0] != a or path[-1] != b:
+                return f"path for ({a}, {b}) does not run from {a} to {b}"
+            if len(set(path)) != len(path):
+                return f"path for ({a}, {b}) repeats a vertex"
+            for v in path:
+                if not 0 <= v < cert.n:
+                    return f"path for ({a}, {b}) leaves the vertex range"
+                if v < a:
+                    return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
+            for u, w in zip(path, path[1:]):
+                col = coloring.color(u, w)
+                if col not in allowed:
+                    return f"path edge ({u}, {w}) colored {col} outside the palette"
+        return None
+    if isinstance(cert, HcCertificate):
+        if cert.j < 1:
+            return f"certified connectivity {cert.j} must be >= 1"
+        nbrs: dict[int, set[int]] = {v: set() for v in cert.X}
+        for a, b in sorted(cert.E):
+            if a >= b:
+                return f"edge ({a}, {b}) must have a < b"
+            if a not in nbrs or b not in nbrs:
+                return f"edge ({a}, {b}) leaves X"
+            col = coloring.color(a, b)
+            if col not in allowed:
+                return f"edge ({a}, {b}) colored {col} outside the palette"
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for a, b in combinations(cert.X, 2):
+            if b not in nbrs[a] and not _disjoint_paths_reference(nbrs, a, b, cert.j):
+                return f"(X, E) is not {cert.j}-connected"
+        return None
+    return f"unknown certificate type {type(cert).__name__}"

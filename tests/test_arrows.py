@@ -1,7 +1,7 @@
 """Relation deciders, canonical enumeration, and threshold search."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings

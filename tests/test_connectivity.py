@@ -12,7 +12,7 @@ from connramsey import (
     read_graph,
 )
 from connramsey.connectivity import _adjacency, _cut_at_least, _vertex_mask, kappa_connected_mask
-from connramsey.verify import _disjoint_paths_at_least
+from connramsey.verify import _disjoint_paths_at_least, _split_graph
 from oracles import (
     all_graphs_on,
     is_complete,
@@ -254,7 +254,7 @@ def menger_verdict(adj, X, kappa):
     non-adjacent pair of X joined by kappa internally disjoint paths."""
     nbrs = {a: {b for b in X if adj[a] >> b & 1} for a in X}
     return all(
-        _disjoint_paths_at_least(nbrs, a, b, kappa)
+        _disjoint_paths_at_least(_split_graph(nbrs), a, b, kappa)
         for a, b in combinations(X, 2)
         if b not in nbrs[a]
     )

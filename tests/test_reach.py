@@ -1,4 +1,5 @@
-"""The package defines only what its own code or the scripts reach.
+"""The package defines only what its own code or the scripts reach, and
+no module imports a name it does not use.
 
 A top-level function or class of a module under src/connramsey that
 nothing in src (outside its own definition and the package's re-exports
@@ -50,3 +51,31 @@ def unreached_definitions():
 
 def test_every_definition_is_reached_from_src_or_scripts():
     assert unreached_definitions() == []
+
+
+def unused_imports(path):
+    """Names that the module at path imports and never loads; the
+    `__future__` switches are not names."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in loaded
+    ]
+
+
+def test_no_unused_imports():
+    # The imports of the package's __init__.py are its public names.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("tests", "scripts"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []

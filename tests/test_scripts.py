@@ -71,6 +71,7 @@ def test_club_axioms_report_finds_no_violation():
     ("run_thresholds.py", ["--min-m", "1"], "--min-m must be at least 2"),
     ("run_thresholds.py", ["--time-limit", "nan"], "--time-limit must be a number of seconds"),
     ("club_axioms_report.py", ["--max-d", "0"], "need d >= 1"),
+    ("run_thresholds.py", ["--min-m", "5", "--max-m", "4"], "--min-m must be at most --max-m"),
 ])
 def test_bad_parameter_exits_2_before_any_cell(script, argv, message):
     env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
