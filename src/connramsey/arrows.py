@@ -18,30 +18,32 @@ order of their ascending member tuples, vertex sets in lexicographic
 order, and the first witness wins.
 
 Threshold search quotients colorings by color permutations only; vertex
-order carries meaning for wc, so vertex symmetry is never used.  All
-three relations are upward-hereditary: a witness in the coloring on
-vertices 0..n-2 is still a witness once a top vertex n-1 is added (a wc
-path stays at or above its source, and the new vertex lies above every
-old one).  So every coloring that fails on n vertices extends one that
-fails on n-1 vertices.  ramsey_number races two deterministic searches,
-one verdict run each in turn, and takes the answer of whichever finishes
-first:
+order carries meaning for wc, so vertex symmetry is never used.  Every
+relation is monotone in the palette-colored pairs: adding pairs to a
+palette never breaks a j-connected set or a well-connected chain.  The
+scanner walks the canonical colorings of each n depth first over the
+pair slots in enumeration order, with the unassigned pairs in no
+palette, and prunes a subtree as soon as its partial coloring has a
+witness; the first leaf without one is the level's lexicographically
+least failing canonical coloring, and a level with none is the
+threshold.  It alone serves classical and hc.
 
-* the scanner walks the canonical colorings of each n in enumeration
-  order and stops a level at its first failure; it wins where failures
-  are dense;
-* the extension search keeps the set of failing canonical colorings of
-  each level and extends each by every color vector on the pairs of a new
-  top vertex; it wins where failures are sparse.  Under a palette an
-  extension's verdict depends only on (parent, palette, top mask), the
-  top mask holding the vertices whose top color lies in the palette.
-
-Both report the lexicographically least canonical failing coloring one
-level below the threshold: the scanner because the enumeration order is
-lexicographic, the extension search because its level set holds every
-failing canonical coloring and it reports the least.  Verdicts in the
-search only try the maximal palettes, as every relation is monotone in
-the palette, and run on adjacency rows: only the extremal is a Coloring.
+For wc, where a new pair can relate pairs away from it and each check
+costs a whole order, ramsey_number races the scanner, one witness search
+per turn, against an extension search and takes the answer of whichever
+finishes first.  All three relations are upward-hereditary: a witness in
+the coloring on vertices 0..n-2 is still a witness once a top vertex n-1
+is added (a wc path stays at or above its source, and the new vertex
+lies above every old one).  So the extension search keeps the set of
+failing canonical colorings of each level and extends each by every
+color vector on the pairs of a new top vertex; it wins where failures
+are sparse.  Under a palette an extension's verdict depends only on
+(parent, palette, top mask), the top mask holding the vertices whose top
+color lies in the palette.  It reports the least failing coloring of its
+level set, the one the scanner finds, so the answer does not depend on
+which side finishes.  Verdicts in the search only try the maximal
+palettes, as every relation is monotone in the palette, and run on
+adjacency rows: only the extremal is a Coloring.
 """
 
 from __future__ import annotations
@@ -103,27 +105,23 @@ def palette_tuples(lam: int, kappa: int):
     yield from grow((), 0)
 
 
-def _find_clique(adj, cands: int, m: int) -> tuple[int, ...] | None:
-    """Lexicographically least m-set inside the vertex mask `cands` whose
-    pairs are all adjacent in `adj`, or None."""
-    out: list[int] = []
+def _find_clique(adj, X: int, cands: int, m: int) -> int:
+    """Mask of the lexicographically least m-set that contains the clique
+    X, takes its other members from the mask `cands` (each adjacent to
+    every member of X) and whose pairs are all adjacent in `adj`, or 0."""
 
-    def grow(cands: int, need: int) -> bool:
+    def grow(X: int, cands: int, need: int) -> int:
         if need == 0:
-            return True
-        while cands:
-            if cands.bit_count() < need:
-                return False
+            return X
+        while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
-            v = low.bit_length() - 1
-            out.append(v)
-            if grow(cands & adj[v], need - 1):
-                return True
-            out.pop()
-        return False
+            hit = grow(X | low, cands & adj[low.bit_length() - 1], need - 1)
+            if hit:
+                return hit
+        return 0
 
-    return tuple(out) if grow(cands, m) else None
+    return grow(X, cands, m - X.bit_count())
 
 
 def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
@@ -192,20 +190,22 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     return grow(X, cands, m - X.bit_count())
 
 
-def _witness(query: RelationQuery, pal_rows, top: bool = False):
+def _witness(query: RelationQuery, pal_rows, seed: int = 0):
     """(palette, X, adj) for the first (palette, adj) of `pal_rows` whose
-    palette adjacency rows adj have a witness, X the lexicographically
-    least one; None when none has.  pal_rows is consumed only up to that
-    palette, so it may build rows lazily.
+    palette adjacency rows adj have a witness that contains the vertex
+    mask `seed`, X the lexicographically least one; None when none has.
+    pal_rows is consumed only up to that palette, so it may build rows
+    lazily.
 
     j >= m - 1 (classical, and hc by default) is the clique search: an
     (m - 1)-connected graph on m vertices is complete.  Smaller j is the
     minimum-degree branch and bound of _find_connected, which hands only
-    full m-sets to the connectivity kernel.  wc takes the least chain of
-    the well-connectedness order.  With top=True the caller knows that the
-    coloring on vertices 0..n-2 has no witness, so every classical or hc
-    witness contains vertex n-1 and only those are tried; wc keeps the
-    full check.
+    full m-sets to the connectivity kernel.  A caller passes a seed when
+    every classical or hc witness must contain it: the rows had none
+    before the caller added the pair the seed is, or the pairs of the top
+    vertex the seed holds.  wc takes the least chain of the
+    well-connectedness order and ignores the seed, since a new pair can
+    relate pairs away from it.
     """
     m = query.m
     if query.mode == "wc":
@@ -216,20 +216,18 @@ def _witness(query: RelationQuery, pal_rows, top: bool = False):
         return None
     j = m if query.j is None else query.j
     for pal, adj in pal_rows:
-        last = len(adj) - 1
+        full = (1 << len(adj)) - 1
         if j < m - 1:
-            seed = 1 << last if top else 0
-            xmask = _find_connected(adj, seed, (2 << last) - 1 - seed, m, j)
-            if xmask:
-                return pal, tuple(bits(xmask)), adj
-        elif top:
-            X = _find_clique(adj, adj[last], m - 1)
-            if X is not None:
-                return pal, X + (last,), adj
+            xmask = _find_connected(adj, seed, full ^ seed, m, j)
         else:
-            X = _find_clique(adj, (2 << last) - 1, m)
-            if X is not None:
-                return pal, X, adj
+            # The vertices adjacent to every member of the seed, and the
+            # seed itself when it is a clique.
+            cands = full
+            for v in bits(seed):
+                cands &= adj[v] | 1 << v
+            xmask = _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
+        if xmask:
+            return pal, tuple(bits(xmask)), adj
     return None
 
 
@@ -312,20 +310,60 @@ def _maximal_palettes(lam: int, kappa: int) -> list[Palette]:
     return [Palette(frozenset(pal)) for pal in combinations(range(lam), min(kappa, lam))]
 
 
+def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
+    """The first failing canonical coloring on n vertices in enumeration
+    order, or None when every one holds.
+
+    A depth-first walk over the restricted-growth pair slots, in the
+    order of _restricted_growth, keeps each palette's adjacency rows in
+    place.  Unassigned pairs lie in no palette, and every relation is
+    monotone in the palette-colored pairs, so a witness on a partial
+    coloring is one on every completion and prunes the subtree.  A walk
+    that reaches a node has found no witness above it, so once slot (a, b)
+    takes color x only the palettes that contain x can gain one, and for
+    classical and hc only through a and b.  The first leaf without a
+    witness is the failure.  Yields n after every witness search and
+    returns the failing Coloring or None."""
+    pairs = list(combinations(range(n), 2))
+    rows = [[0] * n for _ in palettes]
+    by_color = [[(p, r) for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
+    buf = [-1] * len(pairs)
+    # hi[i]: the largest color among buf[:i]; slot i takes at most one more.
+    hi = [-1] * len(pairs)
+    i = 0
+    while i >= 0:
+        a, b = pairs[i]
+        x = buf[i]
+        if x >= 0:
+            for _, adj in by_color[x]:
+                adj[a] ^= 1 << b
+                adj[b] ^= 1 << a
+        if x > hi[i] or x == lam - 1:
+            buf[i] = -1
+            i -= 1
+            continue
+        x = buf[i] = x + 1
+        for _, adj in by_color[x]:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        hit = _witness(query, by_color[x], 1 << a | 1 << b)
+        yield n
+        if hit is None:
+            if i == len(pairs) - 1:
+                return Coloring(n, lam, tuple(buf))
+            i += 1
+            hi[i] = max(hi[i - 1], x)
+    return None
+
+
 def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
-    """The scanner: per n, canonical colorings in enumeration order up to
-    the first failure.  Yields the level after every verdict and returns
-    the ThresholdResult."""
+    """The scanner: per n, the first failing canonical coloring in
+    enumeration order.  Yields the level after every witness search and
+    returns the ThresholdResult."""
     m = query.m
     prev_failing = Coloring(m - 1, lam, (0,) * ((m - 1) * (m - 2) // 2))
     for n in range(m, n_max + 1):
-        failing = None
-        for colors in _restricted_growth(n, lam):
-            hit = _witness(query, ((p, palette_rows(n, colors, p.members)) for p in palettes))
-            yield n
-            if hit is None:
-                failing = Coloring(n, lam, colors)
-                break
+        failing = yield from _first_failure(query, n, lam, palettes)
         if failing is None:
             return ThresholdResult(n, prev_failing)
         prev_failing = failing
@@ -382,7 +420,7 @@ def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
             verdict = held.get((i, mask))
             if verdict is None:
                 rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
-                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), True) is not None
+                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), 1 << last) is not None
             if verdict:
                 break
         yield top, verdict, len(held) > before
@@ -453,9 +491,9 @@ def ramsey_number(
     """Least n <= n_max such that every coloring of the pairs of n
     vertices with lam colors satisfies the relation.
 
-    Races the scanner against the one-vertex extension search (see the
-    module docstring); both return the same result, whose failing
-    coloring is the lexicographically least canonical one at its level.
+    Runs the pruned scanner, raced against the one-vertex extension
+    search for wc (see the module docstring); the failing coloring is the
+    lexicographically least canonical one at its level.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
     NaN one raises ValueError, and inf runs unbounded.  Running past
     n_max is not an error but a threshold of None.  j is the hc
@@ -470,8 +508,7 @@ def ramsey_number(
         raise ValueError("time_limit must be a number of seconds, got nan")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     palettes = _maximal_palettes(lam, kappa)
-    sides = (
-        _scan_levels(query, lam, n_max, palettes),
-        _extend_levels(query, lam, n_max, palettes),
-    )
+    sides = [_scan_levels(query, lam, n_max, palettes)]
+    if mode == "wc":
+        sides.append(_extend_levels(query, lam, n_max, palettes))
     return _race(sides, deadline)

@@ -64,16 +64,6 @@ class Coloring:
             x = next(x for x in self.colors if not 0 <= x < self.lam)
             raise ValueError(f"color {x} out of range 0..{self.lam - 1}")
 
-    def color(self, a: int, b: int) -> int:
-        """Color of the unordered pair {a, b}."""
-        if a == b:
-            raise ValueError(f"no color for the degenerate pair ({a}, {a})")
-        if a > b:
-            a, b = b, a
-        if a < 0 or b >= self.n:
-            raise ValueError(f"pair ({a}, {b}) out of range for n={self.n}")
-        return self.colors[pair_index(self.n, a, b)]
-
 
 def make_coloring(n: int, lam: int, entries) -> Coloring:
     """Build a coloring from explicit (a, b, color) entries.

@@ -5,21 +5,23 @@ results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
 sweeps instead of chain dynamic programming and clique search, and a
 brute-force removal enumerator instead of flows or path counting.  The
-hc witness oracle leans only on that enumerator.  The hc subset sweep is
-the exception: it shares the connectivity kernel and checks only the
-pruning of the witness search.  Also here: the color relabelings the tests
-use (the canonical form is the slow oracle for the enumeration's
-restricted-growth strings and keys), the pairs of a successor-mask
-order, and the per-pair list search whose paths the library's wc
-certificates must reproduce byte for byte.
+hc witness oracle leans only on that enumerator.  Two are exceptions:
+the hc subset sweep shares the connectivity kernel and checks only the
+pruning of the witness search, and the per-coloring threshold scanner
+(first_failures) runs decide on every canonical coloring and checks
+only the pruning of the threshold search.  Also here: the color
+relabelings the tests use (the canonical form is the slow oracle for the
+enumeration's restricted-growth strings and keys), the pairs of a
+successor-mask order, and the per-pair list search whose paths the
+library's wc certificates must reproduce byte for byte.
 
 The rest are helpers that only the tests call, kept out of the package:
 the colorings of the scanner's restricted-growth strings
-(canonical_colorings); the wc order of a coloring (wc_order), its
-longest chain (longest_wc_set) and tree_check, the executable form of
-the claim that the relation is a tree order; graph construction and
-serialization (make_graph, write_graph); and ordinal construction and
-parsing (from_int, ord_parse).
+(canonical_colorings); the color of a pair (color); the wc order of a
+coloring (wc_order), its longest chain (longest_wc_set) and tree_check,
+the executable form of the claim that the relation is a tree order;
+graph construction and serialization (make_graph, write_graph); and
+ordinal construction and parsing (from_int, ord_parse).
 
 Last come the per-line and per-pair coloring and certificate readers and
 verifier (read_coloring_reference, certificate_from_json_reference,
@@ -42,9 +44,9 @@ from connramsey import (
     WcCertificate,
     make_coloring,
 )
-from connramsey.arrows import _restricted_growth
+from connramsey.arrows import ThresholdResult, _restricted_growth, decide
 from connramsey.connectivity import kappa_connected_mask
-from connramsey.core import _as_int, _as_int_list, bits, palette_adjacency
+from connramsey.core import _as_int, _as_int_list, bits, pair_index, palette_adjacency
 from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
@@ -90,7 +92,7 @@ def wc_path_exists(c, a, b, members):
         for w in range(a, c.n):
             if w in used or w == u:
                 continue
-            if c.color(u, w) in members:
+            if color(c, u, w) in members:
                 if dfs(w, used | {w}):
                     return True
         return False
@@ -146,7 +148,7 @@ def is_complete(g):
 def has_monochromatic_m_set(c, m):
     """Direct scan for a size-m set whose pairs all share one color."""
     for sub in combinations(range(c.n), m):
-        colors = {c.color(a, b) for a, b in combinations(sub, 2)}
+        colors = {color(c, a, b) for a, b in combinations(sub, 2)}
         if len(colors) == 1:
             return True
     return False
@@ -217,30 +219,26 @@ def hc_witness_bruteforce(c, m, kappa, j):
     removal enumerator at connectivity j; classical is j = m."""
 
     def accepts(pal, X):
-        edges = frozenset((a, b) for a, b in combinations(X, 2) if c.color(a, b) in pal)
+        edges = frozenset((a, b) for a, b in combinations(X, 2) if color(c, a, b) in pal)
         return kappa_connected_bruteforce(Graph(X, edges), j)
 
     return _first_witness(c, m, kappa, accepts)
 
 
-def hc_witness_sweep(c, m, j, palettes, top=False):
-    """(palette, X) for the first of `palettes` with a j-connected m-set,
-    X the lexicographically least, by sweeping every m-set through the
-    connectivity kernel; None when there is none.  With top=True only
-    the m-sets that contain vertex n-1 are swept.  It is the library's
-    hc search below j = m - 1 without its pruning, so it checks that the
-    pruning loses no witness and keeps the least one.
+def hc_witness_sweep(c, m, j, palettes, seed=0):
+    """(palette, X) for the first of `palettes` with a j-connected m-set
+    that contains the vertex mask `seed`, X the lexicographically least,
+    by sweeping every such m-set through the connectivity kernel; None
+    when there is none.  It is the library's hc search below j = m - 1
+    without its pruning, so it checks that the pruning loses no witness
+    and keeps the least one.
     """
-    masks = [1 << v for v in range(c.n)]
+    rest = [1 << v for v in range(c.n) if not seed >> v & 1]
     for pal in palettes:
         adj = palette_adjacency(c, pal.members)
-        if top:
-            sets = (rest + (masks[-1],) for rest in combinations(masks[:-1], m - 1))
-        else:
-            sets = combinations(masks, m)
-        for X in sets:
-            if kappa_connected_mask(sum(X), adj, j):
-                return pal, tuple(bits(sum(X)))
+        for X in combinations(rest, m - seed.bit_count()):
+            if kappa_connected_mask(seed + sum(X), adj, j):
+                return pal, tuple(bits(seed + sum(X)))
     return None
 
 
@@ -270,7 +268,7 @@ def wc_pair_reference(c, alpha, beta, members):
             for w in range(alpha, c.n):
                 if w in parent or w == u:
                     continue
-                if c.color(u, w) in members:
+                if color(c, u, w) in members:
                     parent[w] = u
                     if w == beta:
                         path = [w]
@@ -286,6 +284,29 @@ def canonical_colorings(n, lam):
     """One coloring per color-permutation orbit, in the order of the
     scanner's restricted-growth strings."""
     return (Coloring(n, lam, colors) for colors in _restricted_growth(n, lam))
+
+
+def first_failures(query, lam, n_max):
+    """The threshold scanner by decide, level by level: for each n from
+    query.m up to n_max, the first of canonical_colorings(n, lam) that
+    fails, stopping after the first level where none fails.  Returns
+    (ThresholdResult, {n: first failing coloring or None})."""
+    m = query.m
+    failing = {}
+    prev = Coloring(m - 1, lam, (0,) * ((m - 1) * (m - 2) // 2))
+    for n in range(m, n_max + 1):
+        failing[n] = next((c for c in canonical_colorings(n, lam) if not decide(c, query).holds), None)
+        if failing[n] is None:
+            return ThresholdResult(n, prev), failing
+        prev = failing[n]
+    return ThresholdResult(None, prev), failing
+
+
+def color(c, a, b):
+    """Color of the unordered pair {a, b} of the coloring c."""
+    if a > b:
+        a, b = b, a
+    return c.colors[pair_index(c.n, a, b)]
 
 
 def wc_order(c: Coloring, palette: Palette) -> list[int]:
@@ -571,7 +592,7 @@ def verify_certificate_reference(cert, coloring: Coloring) -> str | None:
                 if v < a:
                     return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
             for u, w in zip(path, path[1:]):
-                col = coloring.color(u, w)
+                col = color(coloring, u, w)
                 if col not in allowed:
                     return f"path edge ({u}, {w}) colored {col} outside the palette"
         return None
@@ -584,7 +605,7 @@ def verify_certificate_reference(cert, coloring: Coloring) -> str | None:
                 return f"edge ({a}, {b}) must have a < b"
             if a not in nbrs or b not in nbrs:
                 return f"edge ({a}, {b}) leaves X"
-            col = coloring.color(a, b)
+            col = color(coloring, a, b)
             if col not in allowed:
                 return f"edge ({a}, {b}) colored {col} outside the palette"
             nbrs[a].add(b)

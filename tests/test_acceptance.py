@@ -35,6 +35,7 @@ from connramsey.ordinals import (
 )
 from oracles import (
     all_graphs_on,
+    color,
     has_monochromatic_m_set,
     is_complete,
     kappa_connected_bruteforce,
@@ -233,14 +234,14 @@ def test_criterion_10_delta_injection_bound():
     d3 = delta_coloring(3)
     for size in range(1, 9):
         for xs in combinations(range(8), size):
-            realized = {d3.color(a, b) for a, b in combinations(xs, 2)}
+            realized = {color(d3, a, b) for a, b in combinations(xs, 2)}
             assert len(xs) <= 2 ** len(realized)
     d4 = delta_coloring(4)
     rng = random.Random(4242)
     for _ in range(10_000):
         size = rng.randint(1, 16)
         xs = sorted(rng.sample(range(16), size))
-        realized = {d4.color(a, b) for a, b in combinations(xs, 2)}
+        realized = {color(d4, a, b) for a, b in combinations(xs, 2)}
         assert len(xs) <= 2 ** len(realized)
     report(10, "first-difference coloring injection bound")
 
@@ -299,7 +300,7 @@ def _rejected_mutations(certs):
     for cert, coloring in hc_certs:
         if cert.lam < 2 or offs >= 7:
             continue
-        edge_colors = {coloring.color(a, b) for a, b in cert.E}
+        edge_colors = {color(coloring, a, b) for a, b in cert.E}
         other = next((x for x in range(cert.lam) if x not in edge_colors), None)
         if other is None:
             continue

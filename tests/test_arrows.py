@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connramsey import (
+    Graph,
     RelationQuery,
     ResourceCapExceeded,
     decide,
@@ -16,6 +17,7 @@ from connramsey import (
 from connramsey import arrows
 from connramsey.arrows import (
     _extend_levels,
+    _first_failure,
     _key,
     _maximal_palettes,
     _scan_levels,
@@ -24,15 +26,19 @@ from connramsey.arrows import (
     _witness,
     palette_tuples,
 )
-from connramsey.core import Coloring, Palette, palette_adjacency
+from connramsey.core import Coloring, Palette, palette_adjacency, palette_rows
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from oracles import (
     canonical_color_form,
     canonical_colorings,
+    color,
+    first_failures,
     has_monochromatic_m_set,
     hc_witness_bruteforce,
     hc_witness_sweep,
+    kappa_connected_bruteforce,
     permute_colors,
+    wc_path_exists,
     wc_witness_bruteforce,
 )
 
@@ -194,7 +200,7 @@ def test_decide_matches_witness_oracles(instance):
     out = decide(c, query)
     assert summary(out) == oracle_summary(pal, X, tried)
     if out.holds and query.mode != "wc":
-        want = {(a, b) for a, b in combinations(X, 2) if c.color(a, b) in pal}
+        want = {(a, b) for a, b in combinations(X, 2) if color(c, a, b) in pal}
         assert out.certificate.E == want
 
 
@@ -365,10 +371,10 @@ RELATIONS = [
 ]
 
 
-def witness(c, query, palettes, top=False):
+def witness(c, query, palettes, seed=0):
     """The witness search on a Coloring, with its rows built per palette."""
     rows = ((p, palette_adjacency(c, p.members)) for p in palettes)
-    return _witness(query, rows, top=top)
+    return _witness(query, rows, seed=seed)
 
 
 def drain(search):
@@ -390,7 +396,7 @@ def top_extensions(c):
     for top in product(range(c.lam), repeat=c.n):
         yield Coloring(
             n, c.lam,
-            tuple(top[a] if b == n - 1 else c.color(a, b) for a, b in combinations(range(n), 2)),
+            tuple(top[a] if b == n - 1 else color(c, a, b) for a, b in combinations(range(n), 2)),
         )
 
 
@@ -404,6 +410,65 @@ def test_race_sides_agree_with_ramsey_number(lam):
                 want = ramsey_number(mode, m, lam, kappa, n_max, j=j)
                 assert drain(_scan_levels(query, lam, n_max, palettes)) == want
                 assert drain(_extend_levels(query, lam, n_max, palettes)) == want
+
+
+@pytest.mark.parametrize("lam", (1, 2, 3))
+def test_pruned_scanner_matches_per_coloring_oracle(lam):
+    # The pruned walk, drained alone, must return the oracle's result and,
+    # level by level, the oracle's first failing canonical coloring.  At
+    # three colors level 6 has 2.4 million canonical colorings, too many
+    # for decide one by one, so that row stops at n = 5.
+    n_max = 5 if lam == 3 else 6
+    for mode, m, j in RELATIONS:
+        for kappa in (1, 2):
+            query = RelationQuery(mode, m, kappa, j)
+            palettes = _maximal_palettes(lam, kappa)
+            want, failing = first_failures(query, lam, n_max)
+            assert drain(_scan_levels(query, lam, n_max, palettes)) == want
+            for n, c in failing.items():
+                assert drain(_first_failure(query, n, lam, palettes)) == c
+
+
+def is_witness(c, query, pal, X):
+    """Whether X is a witness in c under the palette, by the oracles."""
+    if query.mode == "wc":
+        return all(wc_path_exists(c, a, b, pal.members) for a, b in combinations(X, 2))
+    edges = frozenset((a, b) for a, b in combinations(X, 2) if color(c, a, b) in pal.members)
+    return kappa_connected_bruteforce(Graph(X, edges), query.m if query.j is None else query.j)
+
+
+def test_witness_on_a_partial_coloring_survives_every_completion():
+    # The scanner prunes a partial coloring, whose unassigned pairs lie in
+    # no palette, as soon as a palette has a witness: every completion
+    # must keep that witness.
+    rng = random.Random(13)
+    hits = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        lam = rng.randint(1, 3)
+        kappa = rng.randint(1, 2)
+        m = rng.randint(2, n)
+        mode = rng.choice(("classical", "hc", "wc"))
+        query = RelationQuery(mode, m, kappa, rng.randint(1, m) if mode == "hc" else None)
+        npairs = n * (n - 1) // 2
+        colors = [rng.randrange(lam) for _ in range(npairs)]
+        free = rng.sample(range(npairs), min(npairs, rng.randint(1, 4)))
+        for k in free:
+            colors[k] = -1
+        for pal in _maximal_palettes(lam, kappa):
+            hit = _witness(query, ((pal, palette_rows(n, colors, pal.members)),))
+            if hit is None:
+                continue
+            hits += 1
+            for fill in product(range(lam), repeat=len(free)):
+                for k, x in zip(free, fill):
+                    colors[k] = x
+                c = Coloring(n, lam, tuple(colors))
+                assert is_witness(c, query, pal, hit[1])
+                assert decide(c, query).holds
+            for k in free:
+                colors[k] = -1
+    assert hits >= 100
 
 
 def test_extension_side_finishes_an_exhausted_search():
@@ -432,7 +497,7 @@ def test_verdict_helper_agrees_with_decide(lam):
                         assert verdict == decide(c, query).holds
                     if m - 1 <= n < 5 and fails(c, query):
                         for ext in top_extensions(c):
-                            verdict = witness(ext, query, palettes, top=True) is not None
+                            verdict = witness(ext, query, palettes, seed=1 << n) is not None
                             assert verdict == decide(ext, query).holds
 
 
@@ -452,7 +517,7 @@ def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
                         continue
                     verdicts = _top_verdicts(query, n, lam, c.colors, palettes)
                     for (top, holds, _), ext in zip(verdicts, top_extensions(c), strict=True):
-                        assert top == tuple(ext.color(a, n - 1) for a in range(n - 1))
+                        assert top == tuple(color(ext, a, n - 1) for a in range(n - 1))
                         assert holds == decide(ext, query).holds
                         if not holds:
                             key = _key(ext.colors, lam)
@@ -482,24 +547,27 @@ def witness_summary(hit):
 
 
 def test_pruned_hc_search_matches_subset_sweep():
-    # Below j = m - 1 the witness search prunes by minimum degree; the
-    # unpruned subset sweep must find the same palette and least X, over
-    # all m-sets and over those that contain the top vertex.
+    # Below j = m - 1 the witness search prunes by minimum degree, and
+    # above it is a clique search through the seed; the unpruned subset
+    # sweep must find the same palette and least X, over all m-sets, over
+    # those that contain the top vertex and over those that contain a pair
+    # {a, b}, as the scanner seeds them.
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(3, 12)
         lam = rng.randint(1, 4)
         kappa = rng.randint(1, 2)
         m = rng.randint(3, n)
-        j = rng.randint(1, m - 2)
         # Uneven color weights give dense and sparse palettes alike.
         weights = [rng.random() for _ in range(lam)]
         c = Coloring(n, lam, tuple(rng.choices(range(lam), weights, k=n * (n - 1) // 2)))
-        query = RelationQuery("hc", m, kappa, j)
         palettes = [Palette(frozenset(p)) for p in palette_tuples(lam, kappa)]
-        for top in (False, True):
-            want = hc_witness_sweep(c, m, j, palettes, top=top)
-            assert witness_summary(witness(c, query, palettes, top=top)) == want
+        a, b = sorted(rng.sample(range(n), 2))
+        for j in (rng.randint(1, m - 2), rng.choice((m - 1, m))):
+            query = RelationQuery("hc", m, kappa, j)
+            for seed in (0, 1 << (n - 1), 1 << a | 1 << b):
+                want = hc_witness_sweep(c, m, j, palettes, seed=seed)
+                assert witness_summary(witness(c, query, palettes, seed=seed)) == want
 
 
 def test_pruned_hc_search_on_every_extension_of_failing_colorings():
@@ -515,5 +583,5 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
                     if n >= m and hc_witness_sweep(c, m, j, palettes) is not None:
                         continue
                     for ext in top_extensions(c):
-                        want = hc_witness_sweep(ext, m, j, palettes, top=True)
-                        assert witness_summary(witness(ext, query, palettes, top=True)) == want
+                        want = hc_witness_sweep(ext, m, j, palettes, seed=1 << n)
+                        assert witness_summary(witness(ext, query, palettes, seed=1 << n)) == want

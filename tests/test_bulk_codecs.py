@@ -63,6 +63,8 @@ def edit_lines(draw, lines):
     if body == 0 or kind == "none":
         return lines
     k = draw(st.integers(1, body))
+    if kind in ("double space", "color") and len(lines[k].split()) < 3:
+        return lines  # an earlier truncate left too few words to edit
     if kind == "swap":
         i = draw(st.integers(1, body))
         lines[k], lines[i] = lines[i], lines[k]

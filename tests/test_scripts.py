@@ -30,9 +30,10 @@ def test_run_thresholds_sweeps_hc_below_classical():
 
 
 def test_run_thresholds_reports_a_capped_cell_and_goes_on():
-    # hc m=5 j=3 needs far more than 0.2 s up to n=9, and the j=2 cell
-    # over a second; a capped cell prints a row with its proven lower
-    # bound and the sweep goes on.
+    # The pruned scanner exhausts hc m=5 j=3 up to n=9 in about a second
+    # of search (2 vCPUs, Python 3.11), five times the 0.2 s budget, and
+    # the j=2 cell may cap too; a capped cell prints a row with its proven
+    # lower bound and the sweep goes on.
     env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_thresholds.py"), "--modes", "hc",
