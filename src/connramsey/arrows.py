@@ -29,21 +29,26 @@ least failing canonical coloring, and a level with none is the
 threshold.  It alone serves classical and hc.
 
 For wc, where a new pair can relate pairs away from it and each check
-costs a whole order, ramsey_number races the scanner, one witness search
-per turn, against an extension search and takes the answer of whichever
-finishes first.  All three relations are upward-hereditary: a witness in
-the coloring on vertices 0..n-2 is still a witness once a top vertex n-1
-is added (a wc path stays at or above its source, and the new vertex
-lies above every old one).  So the extension search keeps the set of
-failing canonical colorings of each level and extends each by every
-color vector on the pairs of a new top vertex; it wins where failures
-are sparse.  Under a palette an extension's verdict depends only on
-(parent, palette, top mask), the top mask holding the vertices whose top
-color lies in the palette.  It reports the least failing coloring of its
-level set, the one the scanner finds, so the answer does not depend on
-which side finishes.  Verdicts in the search only try the maximal
-palettes, as every relation is monotone in the palette, and run on
-adjacency rows: only the extremal is a Coloring.
+costs a whole order, ramsey_number races the scanner, one verdict per
+turn, against a search over order states and takes the answer of
+whichever finishes first.  A wc verdict asks only for an m-chain of some
+palette's well-connectedness order, so it depends only on the coloring's
+state: its successor masks, one order per maximal palette.  The
+relation is upward-hereditary (a wc path stays at or above its source,
+and a new top vertex lies above every old one), and the state of a
+one-vertex extension depends only on the old state and, per palette,
+the top mask of the old vertices whose pair with the new one has a
+palette color.  So the state search keeps each level's failing states,
+canonical under color permutations, grows each by every top vector with
+an O(n) update per palette and no reachability search, and decides each
+(palette, top mask) of a state once.  Many failing colorings share a
+state, but a level of states keeps no coloring: once a level is empty
+the search takes the extremal from the scanner on the level below, so
+the answer does not depend on which side finishes.  Verdicts in the search
+only try the maximal palettes, as every relation is monotone in the
+palette, and run on adjacency rows or orders: only the extremal is a
+Coloring.  With kappa >= lam the one maximal palette holds every pair,
+so every mode holds at n = m and nothing is searched.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .connectivity import kappa_connected_mask
 from .core import (
@@ -61,10 +66,9 @@ from .core import (
     RelationQuery,
     WcCertificate,
     bits,
-    pair_index,
     palette_adjacency,
-    palette_rows,
 )
+from .generators import constant_coloring
 from .wellconn import chain_of_length, wc_certificate, wc_order_rows
 
 
@@ -202,10 +206,9 @@ def _witness(query: RelationQuery, pal_rows, seed: int = 0):
     minimum-degree branch and bound of _find_connected, which hands only
     full m-sets to the connectivity kernel.  A caller passes a seed when
     every classical or hc witness must contain it: the rows had none
-    before the caller added the pair the seed is, or the pairs of the top
-    vertex the seed holds.  wc takes the least chain of the
-    well-connectedness order and ignores the seed, since a new pair can
-    relate pairs away from it.
+    before the caller added the pair the seed is.  wc takes the least
+    chain of the well-connectedness order and ignores the seed, since a
+    new pair can relate pairs away from it.
     """
     m = query.m
     if query.mode == "wc":
@@ -260,35 +263,6 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     return DecisionOutcome("fails", None, tuple(tried))
 
 
-def _restricted_growth(n: int, lam: int):
-    """The pair colors of exactly one coloring per color-permutation
-    orbit, as tuples in deterministic order: the restricted-growth
-    strings over the lexicographic pair slots with values below lam, in
-    lexicographic order."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if lam < 1:
-        raise ValueError("need lam >= 1")
-    npairs = n * (n - 1) // 2
-    buf = [0] * npairs
-    # cap[i]: the largest value slot i may take after the prefix buf[:i],
-    # i.e. one past the largest value used so far, and below lam.
-    cap = [min(1, lam - 1)] * npairs
-    cap[0] = 0
-    while True:
-        yield tuple(buf)
-        i = npairs - 1
-        while buf[i] == cap[i]:
-            i -= 1
-            if i < 0:
-                return
-        buf[i] += 1
-        nxt = min(max(cap[i], buf[i] + 1), lam - 1)
-        for k in range(i + 1, npairs):
-            buf[k] = 0
-            cap[k] = nxt
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     """Least n at which every coloring satisfies the relation, when that
@@ -314,16 +288,17 @@ def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
     """The first failing canonical coloring on n vertices in enumeration
     order, or None when every one holds.
 
-    A depth-first walk over the restricted-growth pair slots, in the
-    order of _restricted_growth, keeps each palette's adjacency rows in
-    place.  Unassigned pairs lie in no palette, and every relation is
-    monotone in the palette-colored pairs, so a witness on a partial
-    coloring is one on every completion and prunes the subtree.  A walk
-    that reaches a node has found no witness above it, so once slot (a, b)
-    takes color x only the palettes that contain x can gain one, and for
-    classical and hc only through a and b.  The first leaf without a
-    witness is the failure.  Yields n after every witness search and
-    returns the failing Coloring or None."""
+    A depth-first walk over the pair slots, in lexicographic order of the
+    restricted-growth strings (one per color-permutation orbit: each slot
+    takes at most one more than the largest color before it), keeps each
+    palette's adjacency rows in place.  Unassigned pairs lie in no
+    palette, and every relation is monotone in the palette-colored pairs,
+    so a witness on a partial coloring is one on every completion and
+    prunes the subtree.  A walk that reaches a node has found no witness
+    above it, so once slot (a, b) takes color x only the palettes that
+    contain x can gain one, and for classical and hc only through a and
+    b.  The first leaf without a witness is the failure.  Yields n after
+    every witness search and returns the failing Coloring or None."""
     pairs = list(combinations(range(n), 2))
     rows = [[0] * n for _ in palettes]
     by_color = [[(p, r) for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
@@ -361,7 +336,7 @@ def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     enumeration order.  Yields the level after every witness search and
     returns the ThresholdResult."""
     m = query.m
-    prev_failing = Coloring(m - 1, lam, (0,) * ((m - 1) * (m - 2) // 2))
+    prev_failing = constant_coloring(m - 1, 0, lam)
     for n in range(m, n_max + 1):
         failing = yield from _first_failure(query, n, lam, palettes)
         if failing is None:
@@ -370,94 +345,70 @@ def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
     return ThresholdResult(None, prev_failing)
 
 
-def _extension_slots(n: int) -> list[int]:
-    """For each pair of n vertices in lexicographic order, its position in
-    the colors of the first n-1 vertices followed by the n-1 colors of
-    the pairs (a, n-1)."""
-    below = (n - 1) * (n - 2) // 2
-    return [
-        below + a if b == n - 1 else pair_index(n - 1, a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
+def _grow_order(succ, mask: int) -> tuple[int, ...]:
+    """The successor masks of a palette's wc order once a top vertex
+    t = len(succ) is added whose pairs with the vertices of `mask` lie in
+    the palette.
+
+    In G[>= a] the block of a is a plus succ[a], so adding t merges the
+    blocks it touches.  Top down from a = t - 1, `joined` is the block of
+    t in the grown G[> a]: a joins it exactly when its old block meets it
+    or a is adjacent to t, and then gains all of it as successors and
+    brings its own block in."""
+    joined = 1 << len(succ)
+    grown = [*succ, 0]
+    for a in range(len(succ) - 1, -1, -1):
+        s = succ[a]
+        if s & joined or mask >> a & 1:
+            grown[a] = s | joined
+            joined |= s | 1 << a
+    return tuple(grown)
 
 
-def _key(colors, lam: int) -> int:
-    """Colors relabelled by first appearance, as one base-lam number with
-    the first slot most significant: numeric order is lexicographic."""
-    relabel: dict[int, int] = {}
-    key = 0
-    for x in colors:
-        y = relabel.get(x)
-        if y is None:
-            y = relabel[x] = len(relabel)
-        key = key * lam + y
-    return key
-
-
-def _unpack(key: int, lam: int, npairs: int) -> tuple[int, ...]:
-    out = [0] * npairs
-    for i in range(npairs - 1, -1, -1):
-        key, out[i] = divmod(key, lam)
-    return tuple(out)
-
-
-def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
-    """(top, holds, searched) per top vector in product order: whether
-    extending the colors `base` on n - 1 vertices by a vertex with those
-    pair colors holds, and whether that ran a witness search.  Verdicts
-    are memoised per (palette, top mask); see the module docstring."""
-    last = n - 1
-    base_rows = [palette_rows(last, base, p.members) for p in palettes]
-    held: dict[tuple[int, int], bool] = {}
-    for top in product(range(lam), repeat=last):
-        by_color = [0] * lam
-        for a, x in enumerate(top):
-            by_color[x] |= 1 << a
-        before = len(held)
-        for i, pal in enumerate(palettes):
-            mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
-            verdict = held.get((i, mask))
-            if verdict is None:
-                rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
-                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), 1 << last) is not None
-            if verdict:
-                break
-        yield top, verdict, len(held) > before
-
-
-def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
-    """The extension search: the failing canonical colorings of level n
-    are the canonical forms of the failing one-vertex extensions of
-    level n-1.  Below m every coloring fails, so it starts from all
-    canonical colorings on m-1 vertices.  Levels are sets of packed
-    colors.  Yields the level after every coloring seeded and every
-    verdict that ran a witness search, and returns the ThresholdResult."""
+def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
+    """The wc extension search over order states: a coloring's state is
+    its tuple of wc successor masks, one order per maximal palette, and
+    the verdict and the state of a one-vertex extension depend only on
+    the state and the palettes' top masks.  Each level holds the failing
+    states, canonical under color permutations (which permute the
+    palettes), grown from the one state on a single vertex by every top
+    vector.  Yields the level after every verdict that grew an order, and
+    returns the ThresholdResult with the scanner's extremal."""
     m = query.m
-    if m == 2:
-        level = {0}
-    else:
-        level = set()
-        for colors in _restricted_growth(m - 1, lam):
-            level.add(_key(colors, lam))
-            yield m - 1
-    for n in range(m, n_max + 1):
-        slots = _extension_slots(n)
-        below = (n - 1) * (n - 2) // 2
-        failing: set[int] = set()
-        for key in level:
-            base = _unpack(key, lam, below)
-            for top, holds, searched in _top_verdicts(query, n, lam, base, palettes):
-                if not holds:
-                    failing.add(_key(map((base + top).__getitem__, slots), lam))
-                if searched:
-                    yield n
+    index = {p.members: i for i, p in enumerate(palettes)}
+    relabelings = {
+        tuple(index[frozenset(perm[x] for x in p.members)] for p in palettes)
+        for perm in permutations(range(lam))
+    }
+    level = {((0,),) * len(palettes)}
+    for n in range(2, n_max + 1):
+        failing = set()
+        for state in level:
+            # (palette, top mask) -> (grown order, whether it has an m-chain)
+            grown: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
+            for top in product(range(lam), repeat=n - 1):
+                by_color = [0] * lam
+                for a, x in enumerate(top):
+                    by_color[x] |= 1 << a
+                new = []
+                for i, pal in enumerate(palettes):
+                    mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
+                    hit = grown.get((i, mask))
+                    if hit is None:
+                        succ = _grow_order(state[i], mask)
+                        hit = grown[i, mask] = succ, chain_of_length(succ, m) is not None
+                        yield n
+                    if hit[1]:
+                        break
+                    new.append(hit[0])
+                else:
+                    failing.add(min(tuple(map(new.__getitem__, r)) for r in relabelings))
         if not failing:
-            return ThresholdResult(n, Coloring(n - 1, lam, _unpack(min(level), lam, below)))
+            if n == m:
+                return ThresholdResult(n, constant_coloring(m - 1, 0, lam))
+            return ThresholdResult(n, (yield from _first_failure(query, n - 1, lam, palettes)))
         level = failing
-    return ThresholdResult(
-        None, Coloring(n_max, lam, _unpack(min(level), lam, n_max * (n_max - 1) // 2))
-    )
+    return ThresholdResult(None, (yield from _first_failure(query, n_max, lam, palettes)))
 
 
 def _race(sides, deadline: float | None):
@@ -491,9 +442,10 @@ def ramsey_number(
     """Least n <= n_max such that every coloring of the pairs of n
     vertices with lam colors satisfies the relation.
 
-    Runs the pruned scanner, raced against the one-vertex extension
-    search for wc (see the module docstring); the failing coloring is the
-    lexicographically least canonical one at its level.
+    Runs the pruned scanner, raced against the order-state search for wc
+    (see the module docstring); the failing coloring is the
+    lexicographically least canonical one at its level.  With kappa >= lam
+    it returns threshold m at once.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
     NaN one raises ValueError, and inf runs unbounded.  Running past
     n_max is not an error but a threshold of None.  j is the hc
@@ -506,9 +458,13 @@ def ramsey_number(
         raise ValueError(f"need n_max >= m, got n_max={n_max}, m={m}")
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time_limit must be a number of seconds, got nan")
+    if kappa >= lam:
+        # The one maximal palette holds every pair, so any m vertices are
+        # a witness in every mode, and below m every coloring fails.
+        return ThresholdResult(m, constant_coloring(m - 1, 0, lam))
     deadline = None if time_limit is None else time.monotonic() + time_limit
     palettes = _maximal_palettes(lam, kappa)
     sides = [_scan_levels(query, lam, n_max, palettes)]
     if mode == "wc":
-        sides.append(_extend_levels(query, lam, n_max, palettes))
+        sides.append(_wc_states(query, lam, n_max, palettes))
     return _race(sides, deadline)

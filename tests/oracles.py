@@ -5,23 +5,26 @@ results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
 sweeps instead of chain dynamic programming and clique search, and a
 brute-force removal enumerator instead of flows or path counting.  The
-hc witness oracle leans only on that enumerator.  Two are exceptions:
+hc witness oracle leans only on that enumerator.  Three are exceptions:
 the hc subset sweep shares the connectivity kernel and checks only the
-pruning of the witness search, and the per-coloring threshold scanner
+pruning of the witness search; the per-coloring threshold scanner
 (first_failures) runs decide on every canonical coloring and checks
-only the pruning of the threshold search.  Also here: the color
-relabelings the tests use (the canonical form is the slow oracle for the
-enumeration's restricted-growth strings and keys), the pairs of a
-successor-mask order, and the per-pair list search whose paths the
+only the pruning of the threshold search; and the colour-orbit
+extension search (_extend_levels), which shares the witness search,
+checks the wc search over order states level by level.  Also here: the
+color relabelings the tests use (the canonical form is the slow oracle
+for the enumeration's restricted-growth strings and keys), the pairs of
+a successor-mask order, and the per-pair list search whose paths the
 library's wc certificates must reproduce byte for byte.
 
 The rest are helpers that only the tests call, kept out of the package:
-the colorings of the scanner's restricted-growth strings
-(canonical_colorings); the color of a pair (color); the wc order of a
-coloring (wc_order), its longest chain (longest_wc_set) and tree_check,
-the executable form of the claim that the relation is a tree order;
-graph construction and serialization (make_graph, write_graph); and
-ordinal construction and parsing (from_int, ord_parse).
+the scanner's restricted-growth strings and their colorings
+(_restricted_growth, canonical_colorings); the color of a pair (color);
+the wc order of a coloring (wc_order), its longest chain
+(longest_wc_set) and tree_check, the executable form of the claim that
+the relation is a tree order; graph construction and serialization
+(make_graph, write_graph); and ordinal construction and parsing
+(from_int, ord_parse).
 
 Last come the per-line and per-pair coloring and certificate readers and
 verifier (read_coloring_reference, certificate_from_json_reference,
@@ -32,7 +35,7 @@ versions are held to.
 import json
 import re
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from connramsey import (
     CnfOrdinal,
@@ -41,12 +44,20 @@ from connramsey import (
     Graph,
     HcCertificate,
     Palette,
+    RelationQuery,
     WcCertificate,
     make_coloring,
 )
-from connramsey.arrows import ThresholdResult, _restricted_growth, decide
+from connramsey.arrows import ThresholdResult, _witness, decide
 from connramsey.connectivity import kappa_connected_mask
-from connramsey.core import _as_int, _as_int_list, bits, pair_index, palette_adjacency
+from connramsey.core import (
+    _as_int,
+    _as_int_list,
+    bits,
+    pair_index,
+    palette_adjacency,
+    palette_rows,
+)
 from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
@@ -280,6 +291,35 @@ def wc_pair_reference(c, alpha, beta, members):
     return None
 
 
+def _restricted_growth(n: int, lam: int):
+    """The pair colors of exactly one coloring per color-permutation
+    orbit, as tuples in deterministic order: the restricted-growth
+    strings over the lexicographic pair slots with values below lam, in
+    lexicographic order."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if lam < 1:
+        raise ValueError("need lam >= 1")
+    npairs = n * (n - 1) // 2
+    buf = [0] * npairs
+    # cap[i]: the largest value slot i may take after the prefix buf[:i],
+    # i.e. one past the largest value used so far, and below lam.
+    cap = [min(1, lam - 1)] * npairs
+    cap[0] = 0
+    while True:
+        yield tuple(buf)
+        i = npairs - 1
+        while buf[i] == cap[i]:
+            i -= 1
+            if i < 0:
+                return
+        buf[i] += 1
+        nxt = min(max(cap[i], buf[i] + 1), lam - 1)
+        for k in range(i + 1, npairs):
+            buf[k] = 0
+            cap[k] = nxt
+
+
 def canonical_colorings(n, lam):
     """One coloring per color-permutation orbit, in the order of the
     scanner's restricted-growth strings."""
@@ -300,6 +340,101 @@ def first_failures(query, lam, n_max):
             return ThresholdResult(n, prev), failing
         prev = failing[n]
     return ThresholdResult(None, prev), failing
+
+
+# The colour-orbit extension search that threshold search raced against
+# the scanner for wc before it searched order states; the reference for
+# the state search (_wc_states).
+
+
+def _extension_slots(n: int) -> list[int]:
+    """For each pair of n vertices in lexicographic order, its position in
+    the colors of the first n-1 vertices followed by the n-1 colors of
+    the pairs (a, n-1)."""
+    below = (n - 1) * (n - 2) // 2
+    return [
+        below + a if b == n - 1 else pair_index(n - 1, a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+
+
+def _key(colors, lam: int) -> int:
+    """Colors relabelled by first appearance, as one base-lam number with
+    the first slot most significant: numeric order is lexicographic."""
+    relabel: dict[int, int] = {}
+    key = 0
+    for x in colors:
+        y = relabel.get(x)
+        if y is None:
+            y = relabel[x] = len(relabel)
+        key = key * lam + y
+    return key
+
+
+def _unpack(key: int, lam: int, npairs: int) -> tuple[int, ...]:
+    out = [0] * npairs
+    for i in range(npairs - 1, -1, -1):
+        key, out[i] = divmod(key, lam)
+    return tuple(out)
+
+
+def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
+    """(top, holds, searched) per top vector in product order: whether
+    extending the colors `base` on n - 1 vertices by a vertex with those
+    pair colors holds, and whether that ran a witness search.  Verdicts
+    are memoised per (palette, top mask); see the module docstring."""
+    last = n - 1
+    base_rows = [palette_rows(last, base, p.members) for p in palettes]
+    held: dict[tuple[int, int], bool] = {}
+    for top in product(range(lam), repeat=last):
+        by_color = [0] * lam
+        for a, x in enumerate(top):
+            by_color[x] |= 1 << a
+        before = len(held)
+        for i, pal in enumerate(palettes):
+            mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
+            verdict = held.get((i, mask))
+            if verdict is None:
+                rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
+                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), 1 << last) is not None
+            if verdict:
+                break
+        yield top, verdict, len(held) > before
+
+
+def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
+    """The extension search: the failing canonical colorings of level n
+    are the canonical forms of the failing one-vertex extensions of
+    level n-1.  Below m every coloring fails, so it starts from all
+    canonical colorings on m-1 vertices.  Levels are sets of packed
+    colors.  Yields the level after every coloring seeded and every
+    verdict that ran a witness search, and returns the ThresholdResult."""
+    m = query.m
+    if m == 2:
+        level = {0}
+    else:
+        level = set()
+        for colors in _restricted_growth(m - 1, lam):
+            level.add(_key(colors, lam))
+            yield m - 1
+    for n in range(m, n_max + 1):
+        slots = _extension_slots(n)
+        below = (n - 1) * (n - 2) // 2
+        failing: set[int] = set()
+        for key in level:
+            base = _unpack(key, lam, below)
+            for top, holds, searched in _top_verdicts(query, n, lam, base, palettes):
+                if not holds:
+                    failing.add(_key(map((base + top).__getitem__, slots), lam))
+                if searched:
+                    yield n
+        if not failing:
+            return ThresholdResult(n, Coloring(n - 1, lam, _unpack(min(level), lam, below)))
+        level = failing
+    return ThresholdResult(
+        None, Coloring(n_max, lam, _unpack(min(level), lam, n_max * (n_max - 1) // 2))
+    )
 
 
 def color(c, a, b):

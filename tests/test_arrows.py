@@ -1,7 +1,7 @@
 """Relation deciders, canonical enumeration, and threshold search."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,24 +11,26 @@ from connramsey import (
     Graph,
     RelationQuery,
     ResourceCapExceeded,
+    ThresholdResult,
     decide,
     ramsey_number,
 )
 from connramsey import arrows
 from connramsey.arrows import (
-    _extend_levels,
     _first_failure,
-    _key,
+    _grow_order,
     _maximal_palettes,
     _scan_levels,
-    _top_verdicts,
-    _unpack,
+    _wc_states,
     _witness,
     palette_tuples,
 )
 from connramsey.core import Coloring, Palette, palette_adjacency, palette_rows
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
+from connramsey.wellconn import chain_of_length, wc_order_rows
 from oracles import (
+    _extend_levels,
+    _unpack,
     canonical_color_form,
     canonical_colorings,
     color,
@@ -409,7 +411,8 @@ def test_race_sides_agree_with_ramsey_number(lam):
             for n_max in range(m, 6):
                 want = ramsey_number(mode, m, lam, kappa, n_max, j=j)
                 assert drain(_scan_levels(query, lam, n_max, palettes)) == want
-                assert drain(_extend_levels(query, lam, n_max, palettes)) == want
+                if mode == "wc":
+                    assert drain(_wc_states(query, lam, n_max, palettes)) == want
 
 
 @pytest.mark.parametrize("lam", (1, 2, 3))
@@ -472,15 +475,16 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
 
 
 def test_extension_side_finishes_an_exhausted_search():
-    # hc m=4 j=3 still fails on 5 vertices; the extension search must
-    # report the same least failing coloring as the scanner.
-    query = RelationQuery("hc", 4, 1, 3)
+    # wc m=5 still fails on 7 vertices; the state search must report the
+    # same least failing coloring as the scanner and the orbit search.
+    query = RelationQuery("wc", 5, 1)
     palettes = _maximal_palettes(2, 1)
-    res = drain(_extend_levels(query, 2, 5, palettes))
-    assert res.threshold is None and res.extremal.n == 5
-    assert res == drain(_scan_levels(query, 2, 5, palettes))
+    res = drain(_wc_states(query, 2, 7, palettes))
+    assert res.threshold is None and res.extremal.n == 7
+    assert res == drain(_scan_levels(query, 2, 7, palettes))
+    assert res == drain(_extend_levels(query, 2, 7, palettes))
     assert res.extremal == next(
-        c for c in canonical_colorings(5, 2) if not decide(c, query).holds
+        c for c in canonical_colorings(7, 2) if not decide(c, query).holds
     )
 
 
@@ -501,45 +505,146 @@ def test_verdict_helper_agrees_with_decide(lam):
                             assert verdict == decide(ext, query).holds
 
 
+def state_of(c, palettes):
+    """The coloring's wc successor masks under each palette, from scratch."""
+    return tuple(tuple(wc_order_rows(palette_adjacency(c, p.members))) for p in palettes)
+
+
+def top_mask(ext, pal):
+    """The vertices whose pair with the top vertex of ext has a color of pal."""
+    top = ext.n - 1
+    return sum(1 << a for a in range(top) if color(ext, a, top) in pal.members)
+
+
+def canonical_state(c, palettes):
+    """The least state over the coloring's color permutations.  Relabelling
+    colors by perm gives palette P the order that palette perm^-1(P) had."""
+    orders = dict(zip((p.members for p in palettes), state_of(c, palettes)))
+    return min(
+        tuple(orders[frozenset(inv[x] for x in p.members)] for p in palettes)
+        for inv in permutations(range(c.lam))
+    )
+
+
+def drain_levels(search):
+    """Drain one race side alone; return its result and its levels by size.
+
+    Both the state search and the orbit oracle keep the finished level
+    n - 1 in their local `level` while they build level n into the local
+    `failing`, so the levels are read off the suspended generator frame."""
+    levels = {}
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value, levels
+        local = search.gi_frame.f_locals
+        if "failing" in local and local["failing"] is not local["level"]:
+            levels[local["n"] - 1] = local["level"]
+
+
 @pytest.mark.parametrize("lam, n_max", ((2, 6), (3, 5)))
 def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
-    # The extension side decides a top vector from the parent's rows and
-    # each palette's top mask, memoised per (palette, mask); decide on the
-    # built extension must agree, and a failing extension's key must be
-    # its canonical color form.
-    for mode, m, j in (("classical", 3, None), ("hc", 4, 2), ("wc", 3, None), ("wc", 4, None)):
+    # The state search decides a top vector from the parent's state and
+    # each palette's top mask, and memoises the grown order and its
+    # verdict per (palette, mask); the grown orders must be those of the
+    # built extension, and their verdict decide's.
+    for m in (3, 4):
         for kappa in (1, 2):
-            query = RelationQuery(mode, m, kappa, j)
+            query = RelationQuery("wc", m, kappa)
             palettes = _maximal_palettes(lam, kappa)
             for n in range(m, n_max + 1):
                 for c in canonical_colorings(n - 1, lam):
                     if not fails(c, query):
                         continue
-                    verdicts = _top_verdicts(query, n, lam, c.colors, palettes)
-                    for (top, holds, _), ext in zip(verdicts, top_extensions(c), strict=True):
-                        assert top == tuple(color(ext, a, n - 1) for a in range(n - 1))
+                    state = state_of(c, palettes)
+                    for ext in top_extensions(c):
+                        grown = tuple(_grow_order(s, top_mask(ext, p)) for s, p in zip(state, palettes))
+                        assert grown == state_of(ext, palettes)
+                        holds = any(chain_of_length(succ, m) is not None for succ in grown)
                         assert holds == decide(ext, query).holds
-                        if not holds:
-                            key = _key(ext.colors, lam)
-                            assert _unpack(key, lam, len(ext.colors)) == canonical_color_form(ext).colors
 
 
-@pytest.mark.parametrize("mode, m, j", (("hc", 4, 2), ("wc", 3, None)))
-def test_extension_side_memo_hits_at_three_colors(mode, m, j, monkeypatch):
+@pytest.mark.parametrize("mode, m, j", (("wc", 3, None),))
+def test_extension_side_memo_hits_at_three_colors(mode, m, j):
     # With three colors and palettes of one, top masks repeat across top
-    # vectors: extending the failing colorings on 4 vertices runs fewer
-    # witness searches than there are extensions, and the extension side
-    # still returns the scanner's result.
+    # vectors: growing the failing states on 4 vertices runs fewer
+    # verdicts than there are extensions, and the state search still
+    # returns the scanner's result.
     query = RelationQuery(mode, m, 1, j)
     palettes = _maximal_palettes(3, 1)
-    assert drain(_extend_levels(query, 3, 5, palettes)) == drain(_scan_levels(query, 3, 5, palettes))
-    parents = [c for c in canonical_colorings(4, 3) if fails(c, query)]
-    calls = []
-    monkeypatch.setattr(arrows, "_witness", lambda *args: calls.append(args) or _witness(*args))
-    for c in parents:
-        for _ in _top_verdicts(query, 5, 3, c.colors, palettes):
-            pass
-    assert 0 < len(calls) < 3**4 * len(parents)
+    steps = []
+    search = _wc_states(query, 3, 5, palettes)
+    while True:
+        try:
+            steps.append(next(search))
+        except StopIteration as done:
+            assert done.value == drain(_scan_levels(query, 3, 5, palettes))
+            break
+    parents = {canonical_state(c, palettes) for c in canonical_colorings(4, 3) if fails(c, query)}
+    assert 0 < steps.count(5) < 3**4 * len(parents)
+
+
+# Cells of the state-search differential test, (m, lam, kappa) -> n_max.
+# The orbit oracle takes 17 s on wc m=4 lam=3 kappa=1 at n_max 7 and
+# 19 s on m=5 lam=3 kappa=1 at n_max 6, so those two stop lower.
+STATE_CELLS = {
+    (m, lam, kappa): {(4, 3, 1): 6, (5, 3, 1): 5}.get((m, lam, kappa), 7)
+    for m in (2, 3, 4, 5)
+    for lam in (1, 2, 3)
+    for kappa in (1, 2)
+}
+
+
+@pytest.mark.parametrize("m, lam, kappa", sorted(STATE_CELLS))
+def test_state_search_matches_orbit_oracle(m, lam, kappa):
+    # Drained alone, the state search must return the colour-orbit
+    # extension search's result at every n_max, and level by level its
+    # failing states must be exactly the canonical states of the
+    # oracle's failing orbits.
+    query = RelationQuery("wc", m, kappa)
+    palettes = _maximal_palettes(lam, kappa)
+    top = STATE_CELLS[m, lam, kappa]
+    for n_max in range(m, top):
+        want = drain(_extend_levels(query, lam, n_max, palettes))
+        assert drain(_wc_states(query, lam, n_max, palettes)) == want
+    want, orbits = drain_levels(_extend_levels(query, lam, top, palettes))
+    got, states = drain_levels(_wc_states(query, lam, top, palettes))
+    assert got == want
+    assert orbits and orbits.keys() <= states.keys()
+    for n, level in orbits.items():
+        npairs = n * (n - 1) // 2
+        mapped = {canonical_state(Coloring(n, lam, _unpack(key, lam, npairs)), palettes) for key in level}
+        assert mapped == states[n]
+
+
+def test_grow_order_matches_the_order_of_the_extension():
+    # The state search never runs reach: it grows each palette's order by
+    # the top-down update.  On every top vector of random colorings, under
+    # every maximal palette, it must give the order of the extension.
+    rng = random.Random(17)
+    for case in range(40):
+        n = rng.randint(1, 8)
+        lam = rng.randint(1, 3)
+        c = random_coloring(n, lam, seed=9000 + case)
+        palettes = _maximal_palettes(lam, rng.randint(1, 2))
+        state = state_of(c, palettes)
+        for ext in top_extensions(c):
+            for succ, p, want in zip(state, palettes, state_of(ext, palettes)):
+                assert _grow_order(succ, top_mask(ext, p)) == want
+
+
+def test_palette_holding_every_color_settles_at_m():
+    # kappa >= lam: the one maximal palette holds every pair, so every
+    # mode holds at n = m and the extremal is the constant coloring below
+    # it, as the scanner finds it, with no level searched.
+    for mode, m, lam, kappa in (("classical", 6, 3, 3), ("hc", 5, 2, 3), ("wc", 7, 3, 4)):
+        res = ramsey_number(mode, m, lam, kappa, m + 2, time_limit=-1.0)
+        assert res == ThresholdResult(m, constant_coloring(m - 1, 0, lam))
+    # The scanner itself still walks the 1035 pair slots of one color.
+    query = RelationQuery("classical", 46, 1)
+    res = drain(_scan_levels(query, 1, 46, _maximal_palettes(1, 1)))
+    assert res == ramsey_number("classical", 46, 1, 1, 46)
 
 
 def witness_summary(hit):
@@ -571,9 +676,9 @@ def test_pruned_hc_search_matches_subset_sweep():
 
 
 def test_pruned_hc_search_on_every_extension_of_failing_colorings():
-    # The extension search's own inputs: every one-vertex extension, up to
-    # 6 vertices, of every canonical coloring that fails, as the subset
-    # sweep decides it.
+    # Every one-vertex extension, up to 6 vertices, of every canonical
+    # coloring that fails, seeded with its top vertex, as the subset sweep
+    # decides it.
     for m in (3, 4, 5, 6):
         for j in range(1, m - 1):
             query = RelationQuery("hc", m, 1, j)

@@ -22,7 +22,7 @@ from connramsey import (
     write_coloring,
 )
 from connramsey.cli import main
-from connramsey.generators import random_coloring
+from connramsey.generators import constant_coloring, random_coloring
 from connramsey.wellconn import is_wc_set
 from oracles import make_graph, write_graph
 
@@ -258,6 +258,21 @@ def test_ramsey_many_vertices_one_color(capsys):
     payload = json.loads(stdout)
     assert payload["threshold"] == 46
     assert read_coloring(payload["extremal"]).n == 45
+
+
+def test_ramsey_palette_of_every_color_settles_at_once(capsys):
+    # With kappa >= lambda every m vertices are a witness, so threshold m
+    # is known without a search; scanning level 6 would take about 30 s.
+    code, stdout, _ = run(
+        capsys,
+        "ramsey",
+        "--mode", "classical", "--m", "6", "--colors", "3", "--palette-size", "3",
+        "--max-n", "8", "--time-limit", "5",
+    )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["threshold"] == 6
+    assert read_coloring(payload["extremal"]) == constant_coloring(5, 0, 3)
 
 
 def test_ramsey_time_limit_exit_2(capsys):
