@@ -9,8 +9,7 @@ from .arrows import (
     ramsey_number,
 )
 from .connectivity import (
-    Graph,
-    kappa_connected_fast,
+    kappa_connected_mask,
     read_graph,
 )
 from .core import (

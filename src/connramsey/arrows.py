@@ -96,17 +96,9 @@ class DecisionOutcome:
         return self.verdict == "holds"
 
 
-def palette_tuples(lam: int, kappa: int):
+def palette_tuples(lam: int, kappa: int) -> list[tuple[int, ...]]:
     """Ascending-member color tuples of size 1..kappa, lexicographic."""
-
-    def grow(prefix: tuple[int, ...], lo: int):
-        for x in range(lo, lam):
-            cur = prefix + (x,)
-            yield cur
-            if len(cur) < kappa:
-                yield from grow(cur, x + 1)
-
-    yield from grow((), 0)
+    return sorted(pal for k in range(1, kappa + 1) for pal in combinations(range(lam), k))
 
 
 def _find_clique(adj, X: int, cands: int, m: int) -> int:
@@ -194,12 +186,10 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     return grow(X, cands, m - X.bit_count())
 
 
-def _witness(query: RelationQuery, pal_rows, seed: int = 0):
-    """(palette, X, adj) for the first (palette, adj) of `pal_rows` whose
-    palette adjacency rows adj have a witness that contains the vertex
-    mask `seed`, X the lexicographically least one; None when none has.
-    pal_rows is consumed only up to that palette, so it may build rows
-    lazily.
+def _witness(query: RelationQuery, adj, seed: int = 0) -> tuple[int, ...] | None:
+    """The lexicographically least witness in the palette adjacency rows
+    adj that contains the vertex mask `seed`, as ascending vertices, or
+    None when there is none.
 
     j >= m - 1 (classical, and hc by default) is the clique search: an
     (m - 1)-connected graph on m vertices is complete.  Smaller j is the
@@ -212,26 +202,19 @@ def _witness(query: RelationQuery, pal_rows, seed: int = 0):
     """
     m = query.m
     if query.mode == "wc":
-        for pal, adj in pal_rows:
-            X = chain_of_length(wc_order_rows(adj), m)
-            if X is not None:
-                return pal, X, adj
-        return None
+        return chain_of_length(wc_order_rows(adj), m)
     j = m if query.j is None else query.j
-    for pal, adj in pal_rows:
-        full = (1 << len(adj)) - 1
-        if j < m - 1:
-            xmask = _find_connected(adj, seed, full ^ seed, m, j)
-        else:
-            # The vertices adjacent to every member of the seed, and the
-            # seed itself when it is a clique.
-            cands = full
-            for v in bits(seed):
-                cands &= adj[v] | 1 << v
-            xmask = _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
-        if xmask:
-            return pal, tuple(bits(xmask)), adj
-    return None
+    full = (1 << len(adj)) - 1
+    if j < m - 1:
+        xmask = _find_connected(adj, seed, full ^ seed, m, j)
+    else:
+        # The vertices adjacent to every member of the seed, and the seed
+        # itself when it is a clique.
+        cands = full
+        for v in bits(seed):
+            cands &= adj[v] | 1 << v
+        xmask = _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
+    return tuple(bits(xmask)) if xmask else None
 
 
 def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
@@ -248,11 +231,11 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     tried = []
     for pal in palette_tuples(c.lam, query.kappa):
         palette = Palette(frozenset(pal))
-        hit = _witness(query, ((palette, palette_adjacency(c, palette.members)),))
-        if hit is None:
+        adj = palette_adjacency(c, palette.members)
+        X = _witness(query, adj)
+        if X is None:
             tried.append(pal)
             continue
-        _, X, adj = hit
         if query.mode == "wc":
             cert = wc_certificate(c.n, c.lam, X, palette, adj)
             assert cert is not None  # chain pairs are related by construction
@@ -301,7 +284,7 @@ def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
     every witness search and returns the failing Coloring or None."""
     pairs = list(combinations(range(n), 2))
     rows = [[0] * n for _ in palettes]
-    by_color = [[(p, r) for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
+    by_color = [[r for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
     buf = [-1] * len(pairs)
     # hi[i]: the largest color among buf[:i]; slot i takes at most one more.
     hi = [-1] * len(pairs)
@@ -310,7 +293,7 @@ def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
         a, b = pairs[i]
         x = buf[i]
         if x >= 0:
-            for _, adj in by_color[x]:
+            for adj in by_color[x]:
                 adj[a] ^= 1 << b
                 adj[b] ^= 1 << a
         if x > hi[i] or x == lam - 1:
@@ -318,12 +301,17 @@ def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
             i -= 1
             continue
         x = buf[i] = x + 1
-        for _, adj in by_color[x]:
+        for adj in by_color[x]:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        hit = _witness(query, by_color[x], 1 << a | 1 << b)
+        seed = 1 << a | 1 << b
+        held = False
+        for adj in by_color[x]:
+            if _witness(query, adj, seed) is not None:
+                held = True
+                break
         yield n
-        if hit is None:
+        if not held:
             if i == len(pairs) - 1:
                 return Coloring(n, lam, tuple(buf))
             i += 1

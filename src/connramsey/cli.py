@@ -19,7 +19,7 @@ import json
 import sys
 
 from .arrows import ResourceCapExceeded, decide, ramsey_number
-from .connectivity import kappa_connected_fast, read_graph
+from .connectivity import kappa_connected_mask, read_graph
 from .core import (
     Palette,
     RelationQuery,
@@ -127,9 +127,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_conn(args) -> int:
-    graph = read_graph(_read_text(args.graph))
-    ok = kappa_connected_fast(graph, args.kappa)
-    _emit({"n": len(graph.vertices), "kappa": args.kappa, "kappa_connected": ok})
+    adj = read_graph(_read_text(args.graph))
+    ok = kappa_connected_mask((1 << len(adj)) - 1, adj, args.kappa)
+    _emit({"n": len(adj), "kappa": args.kappa, "kappa_connected": ok})
     return 0 if ok else 1
 
 

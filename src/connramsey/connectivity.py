@@ -1,10 +1,13 @@
-"""Finite graphs and kappa-connectedness in the vertex-removal sense.
+"""kappa-connectedness in the vertex-removal sense, on adjacency rows.
 
-A graph is kappa-connected when deleting any fewer than kappa vertices
-leaves a connected graph, where graphs with at most one vertex count as
-connected.  Under that convention a finite graph is highly connected
-(|G|-connected) exactly when it is complete: removals may cut a
-non-complete graph down to a missing pair.
+A graph is given by its adjacency rows, one neighbor mask per vertex,
+and a vertex mask of the vertices it keeps; a graph file parses to the
+rows of vertices 0..n-1, and the deciders pass the rows of a palette's
+colored pairs.  A graph is kappa-connected when deleting any fewer than
+kappa vertices leaves a connected graph, where graphs with at most one
+vertex count as connected.  Under that convention a finite graph is
+highly connected (|G|-connected) exactly when it is complete: removals
+may cut a non-complete graph down to a missing pair.
 
 The fast decision procedure rests on the equivalence
 
@@ -32,35 +35,14 @@ from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .core import FormatError, bits, reach
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected loop-free graph on an ascending vertex tuple."""
-
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        vs = set()
-        for k, v in enumerate(self.vertices):
-            if v < 0:
-                raise ValueError(f"negative vertex {v}")
-            if k and self.vertices[k - 1] >= v:
-                raise ValueError("vertices must be strictly ascending")
-            vs.add(v)
-        for a, b in self.edges:
-            if a >= b:
-                raise ValueError(f"edge ({a}, {b}) must have a < b")
-            if a not in vs or b not in vs:
-                raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
-
-
-def read_graph(text: str) -> Graph:
+def read_graph(text: str) -> list[int]:
+    """Adjacency rows of a graph file: row v is the neighbor mask of
+    vertex v, for v in 0..n-1."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -78,7 +60,7 @@ def read_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != e:
         raise FormatError(f"expected {e} edge lines, got {len(body)}")
-    edges = set()
+    adj = [0] * n
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -89,25 +71,11 @@ def read_graph(text: str) -> Graph:
             raise FormatError(f"malformed edge line {ln!r}") from exc
         if not 0 <= a < b < n:
             raise FormatError(f"edge line {ln!r}: need 0 <= a < b < n")
-        if (a, b) in edges:
+        if adj[a] >> b & 1:
             raise FormatError(f"duplicate edge ({a}, {b})")
-        edges.add((a, b))
-    return Graph(tuple(range(n)), frozenset(edges))
-
-
-def _adjacency(g: Graph) -> dict[int, int]:
-    adj = {v: 0 for v in g.vertices}
-    for a, b in g.edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
-
-
-def _vertex_mask(g: Graph) -> int:
-    m = 0
-    for v in g.vertices:
-        m |= 1 << v
-    return m
 
 
 def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
@@ -196,7 +164,7 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     """Bitset core of the fast decision; adj maps vertex -> neighbor mask.
 
     Neighbor masks may mention vertices outside vmask; they are ignored.
-    After the completeness, size, connectivity and minimum-degree gates,
+    After the connectivity, completeness, size and minimum-degree gates,
     the Esfahanian-Hakimi plan flows only from a least-degree vertex v
     (the lowest on ties) to each of its non-neighbors, and between each
     two non-adjacent neighbors of v, skipping a pair with kappa common
@@ -207,14 +175,16 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
     nv = vmask.bit_count()
     if nv <= 1:
         return True
+    if reach(vmask & -vmask, adj, vmask) != vmask:
+        # Gated before the vertices are listed: two or more vertices that
+        # are not connected are neither complete nor 1-connected.
+        return False
     verts = list(bits(vmask))
     if all((adj[v] & vmask) == vmask ^ (1 << v) for v in verts):
         return True
     if nv <= kappa + 1:
         # Removals reach two-vertex remainders, where only completeness
         # survives, and this graph is not complete.
-        return False
-    if reach(vmask & -vmask, adj, vmask) != vmask:
         return False
     v = min(verts, key=lambda u: (adj[u] & vmask).bit_count())
     near = adj[v] & vmask
@@ -232,8 +202,3 @@ def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
         if common < kappa and not _cut_at_least(vmask, adj, s, t, kappa):
             return False
     return True
-
-
-def kappa_connected_fast(g: Graph, kappa: int) -> bool:
-    """Min-vertex-cut decision; agrees with the brute-force oracle."""
-    return kappa_connected_mask(_vertex_mask(g), _adjacency(g), kappa)

@@ -346,11 +346,6 @@ def _unique_keys(pairs):
 # "+0,1" or "-0,1" would name the same pair as a canonical key.
 _PATH_KEY = re.compile(r"(?:0|-?[1-9][0-9]*),(?:0|-?[1-9][0-9]*)")
 
-# Fewer paths than this go straight to the per-key loop, which is faster
-# on them: on the 6 paths of a wc m=4 certificate the bulk checks cost
-# more than they save.
-_BULK_PATHS = 64
-
 
 def _bulk_paths(raw: dict):
     """The paths of a 'paths' object whose keys and values all pass,
@@ -379,10 +374,9 @@ def certificate_from_json(text: str):
     """Parse a certificate document.
 
     Structural parsing only: semantic validity against a coloring is the
-    verifier's job.  The path keys and values of a wc certificate with
-    many paths are checked all together; a document with few paths or a
-    malformed one runs the per-key loop, which rejects the first in
-    document order.
+    verifier's job.  The path keys and values of a wc certificate are
+    checked all together; a malformed one runs the per-key loop, which
+    rejects the first in document order.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -403,10 +397,10 @@ def certificate_from_json(text: str):
         raw = doc.get("paths")
         if not isinstance(raw, dict):
             raise FormatError("wc certificate needs a 'paths' object")
-        paths = _bulk_paths(raw) if len(raw) >= _BULK_PATHS else None
+        paths = _bulk_paths(raw)
         if paths is not None:
             return WcCertificate(n, lam, X, palette, paths)
-        # A few paths, or a malformed key or value: the first is rejected.
+        # A malformed key or value: the first is rejected.
         paths = {}
         for key, val in raw.items():
             parts = key.split(",")

@@ -59,28 +59,14 @@ class CnfOrdinal:
         return self.terms < other.terms
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] >= 1
-
-    @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] == 0
 
     @property
     def max_exp(self) -> int:
         if not self.terms:
             raise ValueError("zero has no leading exponent")
         return self.terms[0][0]
-
-    @property
-    def least_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero has no trailing exponent")
-        return self.terms[-1][0]
 
     def __str__(self) -> str:
         return ord_print(self)

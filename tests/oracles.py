@@ -22,9 +22,11 @@ the scanner's restricted-growth strings and their colorings
 (_restricted_growth, canonical_colorings); the color of a pair (color);
 the wc order of a coloring (wc_order), its longest chain
 (longest_wc_set) and tree_check, the executable form of the claim that
-the relation is a tree order; graph construction and serialization
-(make_graph, write_graph); and ordinal construction and parsing
-(from_int, ord_parse).
+the relation is a tree order; the Graph type of the removal enumerator,
+its vertex mask and adjacency rows (vertex_mask, graph_rows), the
+library's kernel on it (kappa_connected_fast), and its construction and
+serialization (make_graph, write_graph); and ordinal construction and
+parsing (from_int, ord_parse).
 
 Last come the per-line and per-pair coloring and certificate readers and
 verifier (read_coloring_reference, certificate_from_json_reference,
@@ -35,13 +37,13 @@ versions are held to.
 import json
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from connramsey import (
     CnfOrdinal,
     Coloring,
     FormatError,
-    Graph,
     HcCertificate,
     Palette,
     RelationQuery,
@@ -62,6 +64,49 @@ from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
 
+@dataclass(frozen=True)
+class Graph:
+    """Undirected loop-free graph on an ascending vertex tuple: the input
+    type of the brute-force oracle, which the library replaces with
+    adjacency rows."""
+
+    vertices: tuple[int, ...]
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        vs = set()
+        for k, v in enumerate(self.vertices):
+            if v < 0:
+                raise ValueError(f"negative vertex {v}")
+            if k and self.vertices[k - 1] >= v:
+                raise ValueError("vertices must be strictly ascending")
+            vs.add(v)
+        for a, b in self.edges:
+            if a >= b:
+                raise ValueError(f"edge ({a}, {b}) must have a < b")
+            if a not in vs or b not in vs:
+                raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
+
+
+def vertex_mask(g):
+    return sum(1 << v for v in g.vertices)
+
+
+def graph_rows(g):
+    """Adjacency rows of g: row v is the neighbor mask of vertex v, for v
+    up to the largest vertex (rows of non-vertices stay empty)."""
+    adj = [0] * (max(g.vertices, default=-1) + 1)
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def kappa_connected_fast(g, kappa):
+    """The library's connectivity kernel on a Graph."""
+    return kappa_connected_mask(vertex_mask(g), graph_rows(g), kappa)
+
+
 def kappa_connected_bruteforce(g, kappa):
     """Test every removal set Y with |Y| < kappa, exhaustively.
 
@@ -71,11 +116,8 @@ def kappa_connected_bruteforce(g, kappa):
     """
     if kappa <= 0:
         return True
-    adj = {v: 0 for v in g.vertices}
-    for a, b in g.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    everything = sum(1 << v for v in g.vertices)
+    adj = graph_rows(g)
+    everything = vertex_mask(g)
     for size in range(min(kappa - 1, len(g.vertices)) + 1):
         for removal in combinations(g.vertices, size):
             left = everything - sum(1 << y for y in removal)
@@ -397,7 +439,7 @@ def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
             verdict = held.get((i, mask))
             if verdict is None:
                 rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
-                verdict = held[i, mask] = _witness(query, ((pal, rows + [mask]),), 1 << last) is not None
+                verdict = held[i, mask] = _witness(query, rows + [mask], 1 << last) is not None
             if verdict:
                 break
         yield top, verdict, len(held) > before

@@ -18,7 +18,6 @@ from connramsey import (
     certificate_to_json,
     decide,
     delta_coloring,
-    kappa_connected_fast,
     ramsey_number,
     verify_certificate,
     write_coloring,
@@ -39,6 +38,7 @@ from oracles import (
     has_monochromatic_m_set,
     is_complete,
     kappa_connected_bruteforce,
+    kappa_connected_fast,
     longest_wc_set,
     make_graph,
     max_wc_subset_exhaustive,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connramsey import (
-    Graph,
     RelationQuery,
     ResourceCapExceeded,
     ThresholdResult,
@@ -29,6 +28,7 @@ from connramsey.core import Coloring, Palette, palette_adjacency, palette_rows
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from connramsey.wellconn import chain_of_length, wc_order_rows
 from oracles import (
+    Graph,
     _extend_levels,
     _unpack,
     canonical_color_form,
@@ -374,9 +374,13 @@ RELATIONS = [
 
 
 def witness(c, query, palettes, seed=0):
-    """The witness search on a Coloring, with its rows built per palette."""
-    rows = ((p, palette_adjacency(c, p.members)) for p in palettes)
-    return _witness(query, rows, seed=seed)
+    """(palette, X) for the first of `palettes` whose rows on a Coloring
+    have a witness, X the least one; None when none has."""
+    for p in palettes:
+        X = _witness(query, palette_adjacency(c, p.members), seed=seed)
+        if X is not None:
+            return p, X
+    return None
 
 
 def drain(search):
@@ -459,7 +463,7 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
         for k in free:
             colors[k] = -1
         for pal in _maximal_palettes(lam, kappa):
-            hit = _witness(query, ((pal, palette_rows(n, colors, pal.members)),))
+            hit = _witness(query, palette_rows(n, colors, pal.members))
             if hit is None:
                 continue
             hits += 1
@@ -467,7 +471,7 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
                 for k, x in zip(free, fill):
                     colors[k] = x
                 c = Coloring(n, lam, tuple(colors))
-                assert is_witness(c, query, pal, hit[1])
+                assert is_witness(c, query, pal, hit)
                 assert decide(c, query).holds
             for k in free:
                 colors[k] = -1
@@ -647,10 +651,6 @@ def test_palette_holding_every_color_settles_at_m():
     assert res == ramsey_number("classical", 46, 1, 1, 46)
 
 
-def witness_summary(hit):
-    return None if hit is None else hit[:2]
-
-
 def test_pruned_hc_search_matches_subset_sweep():
     # Below j = m - 1 the witness search prunes by minimum degree, and
     # above it is a clique search through the seed; the unpruned subset
@@ -672,7 +672,7 @@ def test_pruned_hc_search_matches_subset_sweep():
             query = RelationQuery("hc", m, kappa, j)
             for seed in (0, 1 << (n - 1), 1 << a | 1 << b):
                 want = hc_witness_sweep(c, m, j, palettes, seed=seed)
-                assert witness_summary(witness(c, query, palettes, seed=seed)) == want
+                assert witness(c, query, palettes, seed=seed) == want
 
 
 def test_pruned_hc_search_on_every_extension_of_failing_colorings():
@@ -689,4 +689,4 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
                         continue
                     for ext in top_extensions(c):
                         want = hc_witness_sweep(ext, m, j, palettes, seed=1 << n)
-                        assert witness_summary(witness(ext, query, palettes, seed=1 << n)) == want
+                        assert witness(ext, query, palettes, seed=1 << n) == want

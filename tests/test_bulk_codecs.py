@@ -141,8 +141,7 @@ BAD_KEYS = ["00,1", " 0,1", "+1,2", "1_0,2", "١,2", "-1,2", "-0,1", "1,2,3", "1
 @st.composite
 def decided(draw):
     """A coloring and, when decide finds one, its certificate as a JSON
-    document: small ones in every mode, and wc ones with 66 or 78 paths,
-    enough for certificate_from_json to check them in bulk."""
+    document: small ones in every mode, and wc ones with 66 or 78 paths."""
     if draw(st.booleans()):
         c = draw(colorings(min_n=14, max_n=16, max_lam=2))
         query = RelationQuery("wc", draw(st.integers(12, 13)), 1)
@@ -221,8 +220,10 @@ def test_certificate_parse_and_verify_match_reference(found, data):
 
 
 def test_certificate_parse_matches_reference_on_fixed_keys():
-    # Each entry is added to no other path, and to the 66 paths of a
-    # 12-vertex X, which are enough for the bulk checks.
+    # Each entry is added to no other path, to the 3 paths of a 3-vertex
+    # X and to the 66 paths of a 12-vertex X: every paths object goes
+    # through the bulk checks, and a rejected one through the per-key loop.
+    few = ", ".join(f'"{a},{b}": [{a}, {b}]' for a, b in ((0, 1), (0, 2), (1, 2)))
     many = ", ".join(f'"{a},{b}": [{a}, {b}]' for a in range(12) for b in range(a + 1, 12))
     entries = [f'"{key}": [0, 1]' for key in BAD_KEYS] + [
         '"0,1": [0, true]',
@@ -234,9 +235,10 @@ def test_certificate_parse_matches_reference_on_fixed_keys():
         '"12,13": [12, 13]',
     ]
     head = '{"kind": "wc", "n": 14, "lambda": 1, "X": [0, 1], "Lambda": [0], "paths": '
-    cases = [head + "{}}", head + "[]}", head + "{" + many + "}}"]
+    cases = [head + "{}}", head + "[]}", head + "{" + few + "}}", head + "{" + many + "}}"]
     for entry in entries:
-        cases += [head + "{" + entry + "}}", head + "{" + many + ", " + entry + "}}"]
+        cases += [head + "{" + entry + "}}"]
+        cases += [head + "{" + paths + ", " + entry + "}}" for paths in (few, many)]
     for case in cases:
         assert_same_parse(certificate_from_json, certificate_from_json_reference, case)
 

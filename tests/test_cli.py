@@ -336,6 +336,22 @@ def test_check_conn_bench_graphs(tmp_path, capsys, graph, kappa, code, stdout):
     assert run(capsys, "check-conn", str(path), "--kappa", str(kappa)) == (code, stdout, "")
 
 
+def test_check_conn_edgeless_header_answered_before_vertices_are_listed(tmp_path, capsys, monkeypatch):
+    # 100,000 isolated vertices: the kernel's reachability gate answers
+    # before it lists the vertices one by one, which is quadratic.
+    def no_listing(mask):
+        raise AssertionError("the kernel listed the vertices of a disconnected graph")
+
+    monkeypatch.setattr("connramsey.connectivity.bits", no_listing)
+    path = tmp_path / "edgeless.graph"
+    path.write_text("100000 0\n")
+    assert run(capsys, "check-conn", str(path), "--kappa", "1") == (
+        1,
+        '{"kappa":1,"kappa_connected":false,"n":100000}\n',
+        "",
+    )
+
+
 def test_check_wc(delta_file, capsys):
     code, stdout, _ = run(capsys, "check-wc", delta_file, "--set", "0,1,2", "--palette", "0")
     assert code == 0

@@ -7,18 +7,21 @@ import pytest
 
 from connramsey import (
     FormatError,
-    Graph,
-    kappa_connected_fast,
+    kappa_connected_mask,
     read_graph,
 )
-from connramsey.connectivity import _adjacency, _cut_at_least, _vertex_mask, kappa_connected_mask
+from connramsey.connectivity import _cut_at_least
 from connramsey.verify import _disjoint_paths_at_least, _split_graph
 from oracles import (
+    Graph,
     all_graphs_on,
+    graph_rows,
     is_complete,
     kappa_connected_bruteforce,
+    kappa_connected_fast,
     make_graph,
     min_vertex_separator,
+    vertex_mask,
     write_graph,
 )
 
@@ -139,6 +142,19 @@ def induced(adj, X):
     return make_graph(X, [(a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1])
 
 
+def test_disconnected_graph_answered_before_vertices_are_listed(monkeypatch):
+    # The reachability gate comes first: listing the vertices of a large
+    # mask one by one is quadratic in its size.
+    def no_listing(mask):
+        raise AssertionError("the kernel listed the vertices of a disconnected graph")
+
+    monkeypatch.setattr("connramsey.connectivity.bits", no_listing)
+    adj = graph_rows(make_graph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    for kappa in (1, 2, 6):
+        assert not kappa_connected_mask(0b111111, adj, kappa)
+    assert not kappa_connected_mask(0b11, [0, 0], 1)
+
+
 def test_mask_matches_bruteforce_inside_larger_universe():
     rng = random.Random(3)
     for _ in range(1500):
@@ -186,7 +202,7 @@ def test_even_cut_hidden_behind_first_sources():
         edges |= {(x, v) for x in sep for v in rest}
         edges |= {p for p in combinations(sep, 2) if rng.random() < 0.5}
         g = make_graph(sep + rest, edges)
-        adj, vmask = _adjacency(g), _vertex_mask(g)
+        adj, vmask = graph_rows(g), vertex_mask(g)
         # The deficient cut is the first kappa - 1 vertices themselves, and
         # each of them still reaches every non-neighbor kappa times.
         for s in sep:
@@ -226,7 +242,7 @@ def test_cut_through_least_degree_vertex():
         edges |= set(combinations(others, 2))
         edges |= {(v, y) for y in rng.sample(A, kappa) + rng.sample(B, kappa)}
         edges |= {(outside, y) for y in labels if y != outside}
-        adj = _adjacency(make_graph(labels, edges))
+        adj = graph_rows(make_graph(labels, edges))
         vmask = sum(1 << x for x in labels) & ~(1 << outside)
         g = induced(adj, sorted(labels[:-1]))
         degree = {x: (adj[x] & vmask).bit_count() for x in g.vertices}
@@ -275,7 +291,7 @@ def test_mask_matches_menger_counter_on_large_graphs():
         A, B = range(size_a), range(size_a, n)
         edges = set(combinations(A, 2)) | set(combinations(B, 2))
         edges |= {(rng.choice(A), rng.choice(B)) for _ in range(bridges)}
-        adj = _adjacency(make_graph(range(n), edges))
+        adj = graph_rows(make_graph(range(n), edges))
         cases += [(adj, list(range(n)), k) for k in (bridges, bridges + 1)]
     for _ in range(24):
         adj, X = random_embedded(rng, rng.randint(12, 40))
@@ -305,7 +321,7 @@ def test_graph_file_round_trip():
     g = make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     text = write_graph(g)
     assert text == "4 4\n0 1\n0 3\n1 2\n2 3\n"
-    assert read_graph(text) == g
+    assert read_graph(text) == graph_rows(g) == [0b1010, 0b0101, 0b1010, 0b0101]
 
 
 def test_graph_file_errors():

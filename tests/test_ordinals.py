@@ -84,10 +84,11 @@ def test_ordinal_validation():
 
 
 def test_classification():
-    assert ZERO.is_zero and not ZERO.is_limit and not ZERO.is_successor
-    assert W.is_limit and not W.is_successor
-    assert from_int(3).is_successor
-    assert CnfOrdinal(((2, 1), (0, 4))).is_successor
+    # A successor is a nonzero ordinal whose last term has exponent 0.
+    assert not ZERO.terms and not ZERO.is_limit
+    assert W.is_limit and W.terms[-1][0] != 0
+    assert from_int(3).terms[-1][0] == 0
+    assert CnfOrdinal(((2, 1), (0, 4))).terms[-1][0] == 0
 
 
 def test_blockfloor_and_tail():
@@ -137,7 +138,7 @@ def test_i_min_examples():
 
 def test_i_min_equals_least_exponent():
     for x in enumerate_limits(3, 3):
-        assert i_min(x) == x.least_exp
+        assert i_min(x) == x.terms[-1][0]
 
 
 def test_club_interval_examples():

@@ -1,12 +1,14 @@
 """The package defines only what its own code or the scripts reach, and
 no module imports a name it does not use.
 
-A top-level function or class of a module under src/connramsey that
-nothing in src (outside its own definition and the package's re-exports
-in __init__.py) or in scripts/ refers to serves only the tests, and
-belongs in tests/oracles.py.  References are read from the syntax tree:
-names, attribute names and imported names; docstrings and comments do
-not count.
+A top-level function or class of a module under src/connramsey, or a
+method or property of such a class other than a dunder, that nothing in
+src (outside its own definition and the package's re-exports in
+__init__.py) or in scripts/ refers to serves only the tests: a function
+belongs in tests/oracles.py, and a member's expression is written out
+where a test reads it.  References are read from the syntax tree: names,
+attribute names and imported names; docstrings and comments do not
+count.
 """
 
 import ast
@@ -30,6 +32,20 @@ def referenced_names(tree):
     return names
 
 
+def definitions(tree):
+    """(qualified name, node) for the top-level functions and classes of
+    a module and the non-dunder methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreached_definitions():
     modules = {
         path.stem: ast.parse(path.read_text())
@@ -41,11 +57,10 @@ def unreached_definitions():
     for tree in [*modules.values(), *scripts]:
         total.update(referenced_names(tree))
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and total[node.name] == referenced_names(node)[node.name]
+        for name, node in definitions(tree)
+        if total[node.name] == referenced_names(node)[node.name]
     ]
 
 

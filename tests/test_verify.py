@@ -10,7 +10,6 @@ from pathlib import Path
 
 import connramsey
 from connramsey import (
-    Graph,
     HcCertificate,
     Palette,
     RelationQuery,
@@ -19,7 +18,7 @@ from connramsey import (
     verify_certificate,
 )
 from connramsey.generators import hub_coloring, random_coloring
-from oracles import kappa_connected_bruteforce
+from oracles import Graph, kappa_connected_bruteforce
 
 
 def expected_violation(X, E, j):
