@@ -96,9 +96,19 @@ class DecisionOutcome:
         return self.verdict == "holds"
 
 
-def palette_tuples(lam: int, kappa: int) -> list[tuple[int, ...]]:
-    """Ascending-member color tuples of size 1..kappa, lexicographic."""
-    return sorted(pal for k in range(1, kappa + 1) for pal in combinations(range(lam), k))
+def palette_tuples(lam: int, kappa: int):
+    """Ascending-member color tuples of size 1..kappa, lexicographic.
+
+    Lazy, each prefix before its extensions: decide stops at the first
+    palette with a witness, and there are C(lam, 1) + ... + C(lam, kappa)
+    palettes in all.
+    """
+    stack = [(x,) for x in range(lam - 1, -1, -1)]
+    while stack:
+        pal = stack.pop()
+        yield pal
+        if len(pal) < kappa:
+            stack.extend(pal + (x,) for x in range(lam - 1, pal[-1], -1))
 
 
 def _find_clique(adj, X: int, cands: int, m: int) -> int:

@@ -75,6 +75,24 @@ def all_colorings(n, lam):
 def test_palette_order_is_lexicographic():
     assert list(palette_tuples(3, 2)) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
     assert list(palette_tuples(2, 1)) == [(0,), (1,)]
+    for lam, kappa in [(1, 1), (4, 2), (5, 5), (6, 3)]:
+        want = sorted(
+            pal for k in range(1, kappa + 1) for pal in combinations(range(lam), k)
+        )
+        assert list(palette_tuples(lam, kappa)) == want
+
+
+def test_decide_stops_at_first_palette_with_a_witness():
+    # Far too many palettes to list (about 5.5e11), but (0,) holds.
+    c = constant_coloring(4, 0, 40)
+    for query in [
+        RelationQuery("classical", 4, 20),
+        RelationQuery("hc", 4, 20, 2),
+        RelationQuery("wc", 4, 20),
+    ]:
+        out = decide(c, query)
+        assert out.holds and out.certificate.palette == Palette(frozenset({0}))
+    assert next(iter(palette_tuples(10**4, 10**4))) == (0,)
 
 
 def test_decide_classical_examples():
