@@ -9,6 +9,17 @@ valid, 1 when it fails or the certificate is rejected, 2 for usage, file,
 or parameter problems.  Standard output is one JSON document per
 invocation (byte-identical across identical invocations); diagnostics go
 to standard error.
+
+Arguments are read in one pass when they come in the plain form: the
+command (and the kind, for `gen`), then exact option strings, each
+followed by one value that does not start with `-`, and the positionals
+in order.  Each value is converted with its option's declared type and
+checked against its choices, as argparse does.  Every other argument
+list goes to argparse: `-h`, `--opt=value`, abbreviations, `--`, values
+starting with `-`, unknown, extra or missing arguments, and values that
+fail their type or choices.  So every help text and usage error is
+argparse's.  The grammar is declared once, in build_parser, and the
+one-pass reader works from a table read off that parser.
 """
 
 from __future__ import annotations
@@ -49,8 +60,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _int_list(text: str) -> list[int]:
+    if text == "":
+        return []
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -220,12 +233,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _form(parser: argparse.ArgumentParser) -> tuple:
+    """(defaults, options, positionals, required, subcommands) of a parser:
+    the values its namespace starts from, its single-value store options
+    by option string, its single-value positionals in order, the dests
+    argparse requires, and (dest, forms by name) of its subcommands."""
+    defaults = dict(parser._defaults)
+    options, positionals, subcommands = {}, [], None
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands = (action.dest, {name: _form(p) for name, p in action.choices.items()})
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            if not action.option_strings:
+                positionals.append(action)
+            for opt in action.option_strings:
+                options[opt] = action
+    required = {action.dest for action in parser._actions if action.required}
+    return defaults, options, positionals, required, subcommands
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace parse_args would return for an argument list in the
+    plain form, or None for any other list, which argparse then parses."""
+    defaults, options, positionals, required, subcommands = _form(build_parser())
+    values = dict(defaults)
+    i = 0
+    while subcommands is not None:
+        dest, forms = subcommands
+        if i == len(argv) or argv[i] not in forms:
+            return None
+        values[dest] = argv[i]
+        defaults, options, positionals, required, subcommands = forms[argv[i]]
+        values.update(defaults)
+        i += 1
+    given = set()
+    pending = iter(positionals)
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            action = options.get(argv[i])
+            i += 1
+            if action is None or i == len(argv) or argv[i].startswith("-"):
+                return None
+        else:
+            action = next(pending, None)
+            if action is None:
+                return None
+        try:
+            value = argv[i] if action.type is None else action.type(argv[i])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        given.add(action.dest)
+        i += 1
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (ResourceCapExceeded, OSError, ValueError) as exc:  # FormatError is a ValueError

@@ -27,9 +27,9 @@ def _check_palette(c: Coloring, palette: Palette) -> None:
             raise ValueError(f"palette color {x} out of range for lambda={c.lam}")
 
 
-def _search_tree(adj, a: int) -> dict[int, int]:
+def _search_paths(adj, a: int) -> dict[int, tuple[int, ...]]:
     """Breadth-first search from a over vertices >= a along adj: the
-    parent of every vertex reached, in discovery order.
+    search-tree path from a to every vertex reached, in discovery order.
 
     Vertices are discovered frontier by frontier, each frontier vertex in
     discovery order adding its new neighbors in ascending order, so every
@@ -37,28 +37,19 @@ def _search_tree(adj, a: int) -> dict[int, int]:
     """
     above = -1 << a
     seen = 1 << a
-    parent = {a: a}
+    paths = {a: (a,)}
     frontier = [a]
     while frontier:
         nxt = []
         for u in frontier:
             new = adj[u] & above & ~seen
             seen |= new
+            path = paths[u]
             for w in bits(new):
-                parent[w] = u
+                paths[w] = path + (w,)
                 nxt.append(w)
         frontier = nxt
-    return parent
-
-
-def _tree_path(parent: dict[int, int], b: int) -> tuple[int, ...] | None:
-    """Path from the root of the search tree to b, or None."""
-    if b not in parent:
-        return None
-    path = [b]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return paths
 
 
 def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
@@ -79,12 +70,11 @@ def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate
     """is_wc_set for the ascending vertices xs on the palette's rows adj."""
     paths = {}
     for k, a in enumerate(xs[:-1]):
-        parent = _search_tree(adj, a)
+        tree = _search_paths(adj, a)
         for b in xs[k + 1 :]:
-            p = _tree_path(parent, b)
-            if p is None:
+            if b not in tree:
                 return None
-            paths[(a, b)] = p
+            paths[(a, b)] = tree[b]
     return WcCertificate(n, lam, xs, palette, paths)
 
 

@@ -1,14 +1,20 @@
 """CLI surface: exit codes, JSON payloads, determinism, verifier."""
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import connramsey
 
@@ -21,7 +27,7 @@ from connramsey import (
     verify_certificate,
     write_coloring,
 )
-from connramsey.cli import main
+from connramsey.cli import _form, _read_plain, build_parser, main
 from connramsey.generators import constant_coloring, random_coloring
 from connramsey.wellconn import is_wc_set
 from oracles import make_graph, write_graph
@@ -361,6 +367,18 @@ def test_check_wc(delta_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "vertices, colors, bad", [("0,,2", "0", "0,,2"), ("0,1,", "0", "0,1,"), ("0,1", ",", ",")]
+)
+def test_check_wc_rejects_empty_list_items(delta_file, capsys, vertices, colors, bad):
+    assert run(capsys, "check-wc", delta_file, "--set", vertices, "--palette", colors) == (
+        2, "", f"error: expected comma-separated integers, got {bad!r}\n"
+    )
+    # the empty string stays the empty list, which is vacuously wc
+    code, stdout, _ = run(capsys, "check-wc", delta_file, "--set", "", "--palette", "0")
+    assert code == 0 and certificate_from_json(stdout).X == ()
+
+
 def test_negative_palette_color_exit_2(tmp_path, delta_file, capsys):
     want = (2, "", "error: negative color -1\n")
     assert run(capsys, "check-wc", delta_file, "--set", "0,1", "--palette", "-1") == want
@@ -387,6 +405,124 @@ def test_usage_errors_exit_2(tmp_path, delta_file, capsys):
     assert code == 2  # argparse choices
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def test_argparse_only_forms_keep_their_results(tmp_path, delta_file, capsys):
+    plain = run(capsys, "decide", delta_file, "--mode", "wc", "--m", "3", "--palette-size", "1")
+    assert plain[0] == 0
+    assert run(capsys, "decide", delta_file, "--mode=wc", "--m", "3", "--pal", "1") == plain
+    cert = tmp_path / "cert.json"
+    cert.write_text(plain[1])
+    assert run(capsys, "verify", "--", str(cert), delta_file) == (0, '{"valid":true}\n', "")
+    assert run(
+        capsys, "ramsey", "--mode", "classical", "--m", "3", "--colors", "2", "--palette-size", "1",
+        "--max-n", "6", "--time-limit", "-1",
+    ) == (2, "", "error: time budget used up before the first step\n")
+    code, stdout, _ = run(capsys, "decide", "--help")
+    assert code == 0 and stdout.startswith("usage: connramsey decide")
+
+
+def _leaves(form, path=()):
+    """(command path, form) of every parser without subcommands."""
+    *_, subcommands = form
+    if subcommands is None:
+        return [(path, form)]
+    _, forms = subcommands
+    return [leaf for name, sub in forms.items() for leaf in _leaves(sub, path + (name,))]
+
+
+LEAVES = _leaves(_form(build_parser()))
+NOISE = ["", "-", "--", "-h", "--help", "-1", "--mode=wc", "--m=3", "--pal", "--mo", "--n", "x.col", "wc"]
+
+
+def _values(action):
+    """Values that pass the action's type and choices, then values that fail them."""
+    if action.choices is not None:
+        return [*action.choices], ["nope", "", "-1"]
+    if action.type is int:
+        return [str(k) for k in range(-3, 13)] + [" 7", "1_0"], ["", "x", "1.5", "0x1"]
+    if action.type is float:
+        return ["0", "2.5", "60", "1e-3", "nan", "inf", "-1"], ["", "x", "1,5"]
+    return ["a.col", "b.col", "x y", ""], ["-", "--", "-h", "--m"]
+
+
+@st.composite
+def _argv(draw):
+    """A command path, then chunks: an option and its value (the option
+    exact, a prefix, or joined to the value by '='), a positional, or a
+    noise token.  At most one action gets a value that fails it, and each
+    other departure from the plain form is drawn rarely, so that many
+    lists are plain and most others hold one departure."""
+
+    def rare():
+        # 7, not an end of the range: Hypothesis draws the ends more often
+        return draw(st.integers(0, 15)) == 7
+
+    path, (_, options, positionals, _, _) = draw(st.sampled_from(LEAVES))
+    actions = list(dict.fromkeys(options.values()))
+    odd = draw(st.sampled_from([None, *actions, *positionals]))
+
+    def value(action):
+        good, bad = _values(action)
+        return draw(st.sampled_from(bad if action is odd else good))
+
+    chunks = []
+    for action in draw(st.permutations(actions)):
+        if rare():
+            continue
+        opt = draw(st.sampled_from(action.option_strings))
+        if rare():
+            chunks.append([f"{opt}={value(action)}"])
+        elif rare():
+            chunks.append([opt[: draw(st.integers(1, len(opt)))], value(action)])
+        else:
+            chunks.append([opt, value(action)])
+    for action in positionals:
+        if not rare():
+            chunks.insert(draw(st.integers(0, len(chunks))), [value(action)])
+    while rare():
+        chunks.insert(draw(st.integers(0, len(chunks))), [draw(st.sampled_from(NOISE))])
+    path = list(path)
+    if rare():
+        path = path[: draw(st.integers(0, len(path)))] + draw(st.lists(st.sampled_from(NOISE), max_size=1))
+    return path + [token for chunk in chunks for token in chunk]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+def test_plain_reader_agrees_with_argparse(argv):
+    read = _read_plain(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed
+
+
+def test_plain_reader_reads_bench_and_readme_argvs():
+    # every argument list the bench issues, and every README CLI example,
+    # must be read in one pass; a fallback there would lose the gain unseen
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_run", root / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    argvs = [cell for cells in bench.SEARCH_CELLS.values() for cell in cells]
+    for workload in bench.SEARCH_CELLS:
+        argvs += [c for _, _, checks in bench.search_inputs(workload, bench.load_pins()) for c in checks]
+    argvs += [["gen", *gen, "--out", name] for name, gen in bench.CORPUS.items()]
+    argvs += bench.CERTIFY_DECIDES + bench.CHECK_CONN
+    argvs += [["verify", cert, coloring] for cert in ("cert.json", "mutated.json")
+              for coloring in bench.CORPUS]
+    readme = (root / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line.split(">")[0])[1:]
+                for line in readme.splitlines() if line.startswith("connramsey ")]
+    assert len(examples) == 10
+    for argv in argvs + examples:
+        argv = [a.replace("{seed}", "1") for a in argv]
+        read = _read_plain(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(build_parser().parse_args(argv))
 
 
 def test_verifier_independent_of_decider(tmp_path, capsys):
