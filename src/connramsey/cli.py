@@ -8,7 +8,13 @@ Exit codes: 0 when the queried relation holds or the certificate is
 valid, 1 when it fails or the certificate is rejected, 2 for usage, file,
 or parameter problems.  Standard output is one JSON document per
 invocation (byte-identical across identical invocations); diagnostics go
-to standard error.
+to standard error.  A search deeper than the interpreter's stack or an
+input larger than memory is such a problem too: exit 2, not 1.
+
+Input files are read as UTF-8 with universal newlines, as text mode reads
+them: CRLF and lone CR become LF, and a byte order mark is kept (and so
+rejected by the readers).  Each file is read in one unbuffered call and
+decoded whole.
 
 Arguments are read in one pass when they come in the plain form: the
 command (and the kind, for `gen`), then exact option strings, each
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .arrows import ResourceCapExceeded, decide, ramsey_number
@@ -36,6 +41,7 @@ from .core import (
     RelationQuery,
     certificate_from_json,
     certificate_to_json,
+    encode_json,
     read_coloring,
     write_coloring,
 )
@@ -46,12 +52,18 @@ from .wellconn import is_wc_set
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(encode_json(payload) + "\n")
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text as text mode reads it: UTF-8, with universal
+    newlines.  The bytes are read unbuffered in one call and decoded
+    whole; CRLF and lone CR are folded to LF only when a CR is present."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write_text(path: str, text: str) -> None:
@@ -307,6 +319,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ResourceCapExceeded, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # A search deeper than the interpreter's stack or an input larger
+        # than memory decides nothing, so it must not read as exit 1.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

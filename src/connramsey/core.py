@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress
 
 
 class FormatError(ValueError):
@@ -144,21 +144,31 @@ def write_coloring(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pair_prefixes(n: int):
+    """The words `<a> <b> ` of the pairs a < b < n in lexicographic order,
+    made one at a time, and their total length."""
+    words = [f"{v} " for v in range(n)]
+    # Each vertex lies in n - 1 pairs.
+    return map("".join, combinations(words, 2)), (n - 1) * sum(map(len, words))
+
+
+# decide and verify read the small sizes of threshold search over and over,
+# so the prefixes up to n = 12 (286 strings in all) are made once.
+_SMALL_PAIR_PREFIXES = [(tuple(p), total) for p, total in map(_pair_prefixes, range(13))]
+
+
 def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
     """The colors of pair lines `<a> <b> <color>` in ascending lexicographic
     pair order, each number followed by one space, or None for any other
     layout.
 
-    The words `<a> ` and `<b> ` are stripped off every line in two passes.
-    removeprefix drops a whole word or nothing, so the lengths add up only
-    when every line began with its pair; the rest must be one integer.
+    Each line's pair words are stripped off.  removeprefix drops a whole
+    prefix or nothing, so the lengths add up only when every line began
+    with its pair; the rest must be one integer.
     """
-    words = [f"{v} " for v in range(n)]
-    firsts = chain.from_iterable(map(repeat, words, range(n - 1, -1, -1)))
-    seconds = chain.from_iterable(words[a + 1 :] for a in range(n))
-    tails = list(map(str.removeprefix, map(str.removeprefix, body, firsts), seconds))
-    # Each vertex lies in n - 1 pairs.
-    if sum(map(len, body)) != (n - 1) * sum(map(len, words)) + sum(map(len, tails)):
+    prefixes, total = _SMALL_PAIR_PREFIXES[n] if n < 13 else _pair_prefixes(n)
+    tails = list(map(str.removeprefix, body, prefixes))
+    if sum(map(len, body)) != total + sum(map(len, tails)):
         return None
     try:
         return tuple(map(int, tails))
@@ -290,6 +300,11 @@ class HcCertificate:
     j: int
 
 
+# Shared by every call, as json.dumps and json.loads share theirs: neither
+# keeps state between calls.
+encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def certificate_to_json(cert) -> str:
     """Serialize a certificate to its JSON document (deterministic bytes)."""
     if isinstance(cert, WcCertificate):
@@ -313,7 +328,7 @@ def certificate_to_json(cert) -> str:
         }
     else:
         raise TypeError(f"not a certificate: {cert!r}")
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return encode_json(doc) + "\n"
 
 
 def _as_int(doc, key):
@@ -340,6 +355,9 @@ def _unique_keys(pairs):
                 raise FormatError(f"duplicate key {key!r} in certificate")
             seen.add(key)
     return doc
+
+
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 # A path key is "a,b" in the spelling str(int) gives: "00,1", " 0,1",
@@ -379,7 +397,9 @@ def certificate_from_json(text: str):
     rejects the first in document order.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -7,12 +7,19 @@ each one the library must return an equal object or raise FormatError
 with the reference's message, and give the reference's violation.
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connramsey
 from connramsey import (
     Coloring,
     FormatError,
@@ -24,6 +31,8 @@ from connramsey import (
     verify_certificate,
     write_coloring,
 )
+from connramsey.cli import _emit
+from connramsey.core import encode_json
 from connramsey.generators import random_coloring
 from oracles import (
     certificate_from_json_reference,
@@ -265,3 +274,83 @@ def test_bulk_readers_peak_no_higher_than_reference():
     ]:
         assert parse(text) == reference(text)
         assert peak_bytes(parse, text) <= peak_bytes(reference, text), parse.__name__
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=5))
+def test_shared_encoder_writes_what_json_dumps_writes(doc):
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert encode_json(doc) == want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    assert out.getvalue() == want + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(decided())
+def test_certificate_to_json_writes_what_json_dumps_writes(found):
+    c, doc = found
+    if doc is None:
+        return
+    cert = certificate_from_json(json.dumps(doc))
+    assert certificate_to_json(cert) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_certificate_from_json_keeps_its_rejections():
+    doc = '{"kind": "wc", "n": 2, "lambda": 1, "X": [0, 1], "Lambda": [0], "paths": {"0,1": [0, 1]}}'
+    assert outcome(certificate_from_json, "\ufeff" + doc) == (
+        "FormatError: certificate is not valid JSON: "
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
+    assert outcome(certificate_from_json, doc.replace('"n": 2', '"n": 2, "n": 2')) == (
+        "FormatError: duplicate key 'n' in certificate"
+    )
+    assert outcome(certificate_from_json, doc.replace('[0, 1]}', '[0, 1], "0,1": [0, 1]}')) == (
+        "FormatError: duplicate key '0,1' in certificate"
+    )
+    for text in ("\ufeff" + doc, doc.replace('"n": 2', '"n": 2, "n": 2')):
+        assert outcome(certificate_from_json, text) == outcome(certificate_from_json_reference, text)
+
+
+KEPT_ACROSS_SIZES = """
+import gc, tracemalloc
+from connramsey import read_coloring, write_coloring
+from connramsey.generators import random_coloring
+from oracles import read_coloring_reference
+
+texts = [write_coloring(random_coloring(n, 2, seed=n)) for n in (14, 16, 17, 32, 64, 96)]
+wants = [read_coloring_reference(text) for text in texts]
+gc.collect()
+tracemalloc.start()
+for _ in range(3):
+    for text, want in zip(texts, wants):
+        assert read_coloring(text) == want
+gc.collect()
+kept = tracemalloc.get_traced_memory()[0]
+one = read_coloring(texts[-1])
+assert one == wants[-1]
+print(kept, tracemalloc.get_traced_memory()[0] - kept)
+"""
+
+
+def test_reader_keeps_less_than_one_coloring_across_sizes():
+    # The certify benchmark's coloring sizes, read round robin: the reader
+    # may keep what it reuses, but never as much as one parsed 96-vertex
+    # coloring.  A fresh interpreter, so that nothing read by an earlier
+    # test is kept already.
+    src = Path(connramsey.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    done = subprocess.run(
+        [sys.executable, "-c", KEPT_ACROSS_SIZES], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    kept, coloring_bytes = map(int, done.stdout.split())
+    assert kept < coloring_bytes

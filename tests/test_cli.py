@@ -27,7 +27,7 @@ from connramsey import (
     verify_certificate,
     write_coloring,
 )
-from connramsey.cli import _form, _read_plain, build_parser, main
+from connramsey.cli import _form, _read_plain, _read_text, build_parser, main
 from connramsey.generators import constant_coloring, random_coloring
 from connramsey.wellconn import is_wc_set
 from oracles import make_graph, write_graph
@@ -405,6 +405,108 @@ def test_usage_errors_exit_2(tmp_path, delta_file, capsys):
     assert code == 2  # argparse choices
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def text_mode_read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def same_read(path):
+    """_read_text and a text-mode read of path: equal texts, or errors of
+    one class with one message."""
+    results = []
+    for read in (_read_text, text_mode_read):
+        try:
+            results.append(read(path))
+        except ValueError as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1], path.read_bytes()
+    return results[0]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"2 1\n0 1 0\n",
+        b"2 1\r\n0 1 0\r\n",
+        b"2 1\r0 1 0\r",
+        b"3 1\r\n0 1 0\r0 2 0\n1 2 0\r\n\r",
+        b"\r\r\n\n\r",
+        b"",
+        b"\xef\xbb\xbf2 1\n0 1 0\n",
+        "{\"kind\": \"wc\", \"note\": \"ä   \U0001f600\"}\r\n".encode(),
+    ],
+    ids=["lf", "crlf", "cr", "mixed", "only-newlines", "empty", "bom", "non-ascii"],
+)
+def test_read_text_matches_text_mode(tmp_path, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert isinstance(same_read(path), str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(["\n", "\r", "\r\n", " ", "0", "é", "\ufeff", "\u2028"]))
+        .map("".join)
+        .map(str.encode),
+        st.binary(max_size=40),
+    )
+)
+def test_read_text_matches_text_mode_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "input"
+    path.write_bytes(data)
+    same_read(path)
+
+
+@pytest.mark.parametrize("data", [b"\xff2 1\n", b"2 1\n0 1 \xc3", b"2 1\n0 1 \xed\xa0\x80\n"])
+def test_invalid_utf8_is_rejected_as_text_mode_rejects_it(tmp_path, capsys, data):
+    path = tmp_path / "bad.col"
+    path.write_bytes(data)
+    kind, message = same_read(path)
+    assert kind is UnicodeDecodeError
+    assert run(capsys, "decide", str(path), "--mode", "wc", "--m", "2", "--palette-size", "1") == (
+        2, "", f"error: {message}\n"
+    )
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("mode, j", [("classical", None), ("hc", 60)])
+def test_search_deeper_than_the_stack_exits_2(tmp_path, capsys, mode, j):
+    # The clique and connected-set searches recurse once per member of the
+    # set they grow; 120 members are more than the lowered limit allows.
+    # The relation holds, so exit 1 would be a wrong verdict.
+    path = tmp_path / "k120.col"
+    path.write_text(write_coloring(constant_coloring(120, 0, 1)))
+    argv = ["decide", str(path), "--mode", mode, "--m", "120", "--palette-size", "1"]
+    argv += ["--j", str(j)] if j is not None else []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        code, stdout, err = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
+def test_input_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(ell):
+        raise MemoryError
+
+    monkeypatch.setattr("connramsey.cli.delta_coloring", out_of_memory)
+    out = tmp_path / "d.col"
+    assert run(capsys, "gen", "delta", "--len", "30", "--out", str(out)) == (
+        2, "", "error: out of memory\n"
+    )
+    assert not out.exists()
 
 
 def test_argparse_only_forms_keep_their_results(tmp_path, delta_file, capsys):
