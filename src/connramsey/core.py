@@ -162,11 +162,12 @@ def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
     pair order, each number followed by one space, or None for any other
     layout.
 
-    Each line's pair words are stripped off.  removeprefix drops a whole
-    prefix or nothing, so the lengths add up only when every line began
-    with its pair; the rest must be one integer.
+    Each line's prefix `<a> <b> ` is stripped off in one pass.  removeprefix
+    drops a whole prefix or nothing, so the lengths add up only when every
+    line began with its pair; the rest must be one integer.
     """
-    prefixes, total = _SMALL_PAIR_PREFIXES[n] if n < 13 else _pair_prefixes(n)
+    kept = n < len(_SMALL_PAIR_PREFIXES)
+    prefixes, total = _SMALL_PAIR_PREFIXES[n] if kept else _pair_prefixes(n)
     tails = list(map(str.removeprefix, body, prefixes))
     if sum(map(len, body)) != total + sum(map(len, tails)):
         return None
