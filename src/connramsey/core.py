@@ -152,11 +152,6 @@ def _pair_prefixes(n: int):
     return map("".join, combinations(words, 2)), (n - 1) * sum(map(len, words))
 
 
-# decide and verify read the small sizes of threshold search over and over,
-# so the prefixes up to n = 12 (286 strings in all) are made once.
-_SMALL_PAIR_PREFIXES = [(tuple(p), total) for p, total in map(_pair_prefixes, range(13))]
-
-
 def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
     """The colors of pair lines `<a> <b> <color>` in ascending lexicographic
     pair order, each number followed by one space, or None for any other
@@ -166,8 +161,7 @@ def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
     drops a whole prefix or nothing, so the lengths add up only when every
     line began with its pair; the rest must be one integer.
     """
-    kept = n < len(_SMALL_PAIR_PREFIXES)
-    prefixes, total = _SMALL_PAIR_PREFIXES[n] if kept else _pair_prefixes(n)
+    prefixes, total = _pair_prefixes(n)
     tails = list(map(str.removeprefix, body, prefixes))
     if sum(map(len, body)) != total + sum(map(len, tails)):
         return None

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -592,7 +593,10 @@ def _argv(draw):
 
 def _comparable(values: dict) -> dict:
     # `--time-limit nan` parses to a NaN, which equals no float, itself included.
-    return {key: "nan" if value != value else value for key, value in values.items()}
+    return {
+        key: (float, "nan") if isinstance(value, float) and math.isnan(value) else value
+        for key, value in values.items()
+    }
 
 
 @settings(max_examples=1000, deadline=None)
