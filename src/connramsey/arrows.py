@@ -29,23 +29,22 @@ least failing canonical coloring, and a level with none is the
 threshold.  It alone serves classical and hc.
 
 For wc, where a new pair can relate pairs away from it and each check
-costs a whole order, ramsey_number races the scanner, one verdict per
-turn, against a search over order states and takes the answer of
-whichever finishes first.  A wc verdict asks only for an m-chain of some
-palette's well-connectedness order, so it depends only on the coloring's
-state: its successor masks, one order per maximal palette.  The
-relation is upward-hereditary (a wc path stays at or above its source,
-and a new top vertex lies above every old one), and the state of a
-one-vertex extension depends only on the old state and, per palette,
-the top mask of the old vertices whose pair with the new one has a
-palette color.  So the state search keeps each level's failing states,
-canonical under color permutations, grows each by every top vector with
-an O(n) update per palette and no reachability search, and decides each
-(palette, top mask) of a state once.  Many failing colorings share a
-state, but a level of states keeps no coloring: once a level is empty
-the search takes the extremal from the scanner on the level below, so
-the answer does not depend on which side finishes.  Verdicts in the search
-only try the maximal palettes, as every relation is monotone in the
+costs a whole order, a walk over order states replaces the scanner.  A
+wc verdict asks only for an m-chain of some palette's well-connectedness
+order, so it depends only on the coloring's state: its successor masks,
+one order per maximal palette.  The relation is hereditary (a wc path
+stays at or above its source, and a new top vertex lies above every old
+one), so every failing state on n vertices is a child of one on n - 1,
+and a child's state depends only on its parent's and, per palette, the
+top mask of the old vertices whose pair with the new one has a palette
+color.  The walk grows a failing state by every top vector with an O(n)
+update per palette and no reachability search, decides each (palette,
+top mask) of it once, and descends depth first into every failing child,
+canonical under color permutations, that it has not reached before.  It
+stops at its first failing state on n_max; else, once every state it
+reached is expanded, the first depth with none is the threshold.  States
+keep no coloring, so the extremal comes from the scanner.  Verdicts try
+only the maximal palettes, as every relation is monotone in the
 palette, and run on adjacency rows or orders: only the extremal is a
 Coloring.  With kappa >= lam the one maximal palette holds every pair,
 so every mode holds at n = m and nothing is searched.
@@ -364,68 +363,71 @@ def _grow_order(succ, mask: int) -> tuple[int, ...]:
 
 
 def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
-    """The wc extension search over order states: a coloring's state is
-    its tuple of wc successor masks, one order per maximal palette, and
-    the verdict and the state of a one-vertex extension depend only on
-    the state and the palettes' top masks.  Each level holds the failing
-    states, canonical under color permutations (which permute the
-    palettes), grown from the one state on a single vertex by every top
-    vector.  Yields the level after every verdict that grew an order, and
-    returns the ThresholdResult with the scanner's extremal."""
+    """The wc walk over order states (see the module docstring); seen[n]
+    holds the failing states reached on n vertices.  Yields the depth
+    grown at every verdict it runs, and returns the ThresholdResult."""
     m = query.m
     index = {p.members: i for i, p in enumerate(palettes)}
     relabelings = {
         tuple(index[frozenset(perm[x] for x in p.members)] for p in palettes)
         for perm in permutations(range(lam))
     }
-    level = {((0,),) * len(palettes)}
-    for n in range(2, n_max + 1):
-        failing = set()
-        for state in level:
-            # (palette, top mask) -> (grown order, whether it has an m-chain)
-            grown: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
-            for top in product(range(lam), repeat=n - 1):
-                by_color = [0] * lam
-                for a, x in enumerate(top):
-                    by_color[x] |= 1 << a
-                new = []
-                for i, pal in enumerate(palettes):
-                    mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
-                    hit = grown.get((i, mask))
-                    if hit is None:
-                        succ = _grow_order(state[i], mask)
-                        hit = grown[i, mask] = succ, chain_of_length(succ, m) is not None
-                        yield n
-                    if hit[1]:
-                        break
-                    new.append(hit[0])
-                else:
-                    failing.add(min(tuple(map(new.__getitem__, r)) for r in relabelings))
-        if not failing:
-            if n == m:
-                return ThresholdResult(n, constant_coloring(m - 1, 0, lam))
-            return ThresholdResult(n, (yield from _first_failure(query, n - 1, lam, palettes)))
-        level = failing
-    return ThresholdResult(None, (yield from _first_failure(query, n_max, lam, palettes)))
+
+    def children(state, n):
+        """Yields n per verdict run and each failing canonical child of state."""
+        # (palette, top mask) -> (grown order, whether it has an m-chain)
+        grown: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
+        for top in product(range(lam), repeat=n - 1):
+            by_color = [0] * lam
+            for a, x in enumerate(top):
+                by_color[x] |= 1 << a
+            new = []
+            for i, pal in enumerate(palettes):
+                mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
+                hit = grown.get((i, mask))
+                if hit is None:
+                    succ = _grow_order(state[i], mask)
+                    hit = grown[i, mask] = succ, chain_of_length(succ, m) is not None
+                    yield n
+                if hit[1]:
+                    break
+                new.append(hit[0])
+            else:
+                yield min(tuple(map(new.__getitem__, r)) for r in relabelings)
+
+    root = ((0,),) * len(palettes)
+    seen = [set(), {root}, *(set() for _ in range(n_max - 1))]
+    stack = [children(root, 2)]
+    while stack:
+        child = next(stack[-1], None)
+        n = len(stack) + 1
+        if child is None:
+            stack.pop()
+        elif isinstance(child, int):
+            yield child
+        elif n == n_max:
+            return ThresholdResult(None, (yield from _first_failure(query, n_max, lam, palettes)))
+        elif child not in seen[n]:
+            seen[n].add(child)
+            stack.append(children(child, n + 1))
+    n = seen.index(set(), 2)
+    if n == m:
+        return ThresholdResult(n, constant_coloring(m - 1, 0, lam))
+    return ThresholdResult(n, (yield from _first_failure(query, n - 1, lam, palettes)))
 
 
-def _race(sides, deadline: float | None):
-    """Advance the searches one step each in turn and return the result
-    of the first to finish; the deadline is checked before every step."""
+def _drive(search, deadline: float | None):
+    """Run the search to its result, checking the deadline before every
+    step; `reached` is the largest level the search reported."""
     reached = 0
-    try:
-        while True:
-            for side in sides:
-                if deadline is not None and time.monotonic() > deadline:
-                    where = f"at n={reached}" if reached else "before the first step"
-                    raise ResourceCapExceeded(f"time budget used up {where}", reached)
-                try:
-                    reached = max(reached, next(side))
-                except StopIteration as done:
-                    return done.value
-    finally:
-        for side in sides:
-            side.close()
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            where = f"at n={reached}" if reached else "before the first step"
+            raise ResourceCapExceeded(f"time budget used up {where}", reached)
+        try:
+            reached = max(reached, next(search))
+        except StopIteration as done:
+            return done.value
 
 
 def ramsey_number(
@@ -440,10 +442,10 @@ def ramsey_number(
     """Least n <= n_max such that every coloring of the pairs of n
     vertices with lam colors satisfies the relation.
 
-    Runs the pruned scanner, raced against the order-state search for wc
-    (see the module docstring); the failing coloring is the
-    lexicographically least canonical one at its level.  With kappa >= lam
-    it returns threshold m at once.
+    Runs the pruned scanner, or for wc the walk over order states (see
+    the module docstring); the failing coloring is the lexicographically
+    least canonical one at its level.  With kappa >= lam it returns
+    threshold m at once.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
     NaN one raises ValueError, and inf runs unbounded.  Running past
     n_max is not an error but a threshold of None.  j is the hc
@@ -462,7 +464,5 @@ def ramsey_number(
         return ThresholdResult(m, constant_coloring(m - 1, 0, lam))
     deadline = None if time_limit is None else time.monotonic() + time_limit
     palettes = _maximal_palettes(lam, kappa)
-    sides = [_scan_levels(query, lam, n_max, palettes)]
-    if mode == "wc":
-        sides.append(_wc_states(query, lam, n_max, palettes))
-    return _race(sides, deadline)
+    search = _wc_states if mode == "wc" else _scan_levels
+    return _drive(search(query, lam, n_max, palettes), deadline)

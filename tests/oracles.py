@@ -384,9 +384,9 @@ def first_failures(query, lam, n_max):
     return ThresholdResult(None, prev), failing
 
 
-# The colour-orbit extension search that threshold search raced against
-# the scanner for wc before it searched order states; the reference for
-# the state search (_wc_states).
+# The colour-orbit extension search, which wc threshold search ran
+# before it walked order states; the reference for the state walk
+# (_wc_states).
 
 
 def _extension_slots(n: int) -> list[int]:

@@ -346,7 +346,7 @@ def test_ramsey_time_limit_nan_negative_inf():
 
 
 def test_ramsey_time_budget_reports_the_level_reached(monkeypatch):
-    # The race reads the clock before every step; a clock that jumps
+    # The search reads the clock before every step; a clock that jumps
     # after 40 readings stops it part way.  hc m=4 j=2 has threshold 6,
     # and the level reached is a lower bound on it.
     readings = iter(range(10**6))
@@ -359,6 +359,29 @@ def test_ramsey_time_budget_reports_the_level_reached(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as err:
         ramsey_number("classical", 3, 2, 1, 6, time_limit=-1.0)
     assert err.value.reached == 0
+
+
+def test_wc_time_budget_reports_the_level_reached(monkeypatch):
+    # The state walk yields the depth it grows at every verdict, and every
+    # state it grows fails, so the level reached by a stopped walk is a
+    # lower bound on the threshold, 6 for wc m=4 with two colors.
+    readings = iter(range(10**6))
+    monkeypatch.setattr(arrows.time, "monotonic", lambda: 0.0 if next(readings) < 40 else 1e9)
+    with pytest.raises(ResourceCapExceeded) as err:
+        ramsey_number("wc", 4, 2, 1, 7, time_limit=1.0)
+    assert 2 <= err.value.reached <= 6
+    assert str(err.value) == f"time budget used up at n={err.value.reached}"
+
+
+@pytest.mark.parametrize("m, lam, n_max", ((5, 3, 10), (8, 2, 12)))
+def test_wc_walk_reaches_n_max_of_an_exhausted_cell(m, lam, n_max):
+    # The walk stops at its first failing state on n_max; its dead ends on
+    # the way take a fraction of a second here and must stay well inside
+    # the budget.
+    res = ramsey_number("wc", m, lam, 1, n_max, time_limit=10)
+    assert res.threshold is None
+    query = RelationQuery("wc", m, 1)
+    assert res.extremal == drain(_first_failure(query, n_max, lam, _maximal_palettes(lam, 1)))
 
 
 def test_ramsey_parameter_validation():
@@ -402,7 +425,7 @@ def witness(c, query, palettes, seed=0):
 
 
 def drain(search):
-    """Run one side of the threshold race alone and return its result."""
+    """Run a threshold search generator to its result, with no deadline."""
     while True:
         try:
             next(search)
@@ -425,7 +448,7 @@ def top_extensions(c):
 
 
 @pytest.mark.parametrize("lam", (1, 2, 3))
-def test_race_sides_agree_with_ramsey_number(lam):
+def test_threshold_searches_agree_with_ramsey_number(lam):
     for mode, m, j in RELATIONS:
         for kappa in (1, 2):
             query = RelationQuery(mode, m, kappa, j)
@@ -549,19 +572,22 @@ def canonical_state(c, palettes):
 
 
 def drain_levels(search):
-    """Drain one race side alone; return its result and its levels by size.
+    """Drain a threshold search; return its result and its levels by size.
 
-    Both the state search and the orbit oracle keep the finished level
-    n - 1 in their local `level` while they build level n into the local
-    `failing`, so the levels are read off the suspended generator frame."""
+    The orbit oracle keeps the finished level n - 1 in its local `level`
+    while it builds level n into the local `failing`; the state walk adds
+    each failing state it reaches on n vertices to its local `seen[n]`.
+    Both are read off the suspended generator frame."""
     levels = {}
     while True:
         try:
             next(search)
         except StopIteration as done:
-            return done.value, levels
+            return done.value, {n: level for n, level in levels.items() if level}
         local = search.gi_frame.f_locals
-        if "failing" in local and local["failing"] is not local["level"]:
+        if "seen" in local:
+            levels = dict(enumerate(local["seen"]))
+        elif "failing" in local and local["failing"] is not local["level"]:
             levels[local["n"] - 1] = local["level"]
 
 
@@ -620,10 +646,12 @@ STATE_CELLS = {
 
 @pytest.mark.parametrize("m, lam, kappa", sorted(STATE_CELLS))
 def test_state_search_matches_orbit_oracle(m, lam, kappa):
-    # Drained alone, the state search must return the colour-orbit
-    # extension search's result at every n_max, and level by level its
-    # failing states must be exactly the canonical states of the
-    # oracle's failing orbits.
+    # The state walk must return the colour-orbit extension search's
+    # result at every n_max.  When it settles it has expanded every state
+    # it reached, so depth by depth its failing states must be exactly the
+    # canonical states of the oracle's failing orbits; when the cell is
+    # exhausted it stops at the first failing state on n_max, and each
+    # depth must lie inside the oracle's level.
     query = RelationQuery("wc", m, kappa)
     palettes = _maximal_palettes(lam, kappa)
     top = STATE_CELLS[m, lam, kappa]
@@ -633,11 +661,17 @@ def test_state_search_matches_orbit_oracle(m, lam, kappa):
     want, orbits = drain_levels(_extend_levels(query, lam, top, palettes))
     got, states = drain_levels(_wc_states(query, lam, top, palettes))
     assert got == want
-    assert orbits and orbits.keys() <= states.keys()
+    if got.threshold is None:
+        assert states.keys() <= orbits.keys() | set(range(1, m - 1))
+    else:
+        assert orbits.keys() == states.keys() - set(range(1, m - 1))
     for n, level in orbits.items():
         npairs = n * (n - 1) // 2
         mapped = {canonical_state(Coloring(n, lam, _unpack(key, lam, npairs)), palettes) for key in level}
-        assert mapped == states[n]
+        if got.threshold is None:
+            assert states.get(n, set()) <= mapped
+        else:
+            assert mapped == states[n]
 
 
 def test_grow_order_matches_the_order_of_the_extension():
