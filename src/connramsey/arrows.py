@@ -9,7 +9,9 @@ m-connected on m vertices exactly when it is complete, and so is an
 that, a j-connected m-set has minimum degree at least j, so each member misses at
 most m - 1 - j others: the search grows X lexicographically, prunes with
 that allowance and with j-core peeling, and runs the connectivity kernel
-only on full m-sets.  wc asks for a size-m chain of the
+only on full m-sets.  At j = m - 2 it runs it on none: with allowance 1
+two non-adjacent members share the other m - 2 = j as neighbors, which
+are j disjoint two-edge paths.  wc asks for a size-m chain of the
 well-connectedness order under some palette, and its certificate carries
 one search-tree path per pair.
 
@@ -141,7 +143,11 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     neighbors of a member of X whose allowance is used up, and peels every
     candidate with fewer than j neighbors among X and the candidates, to a
     fixed point; it fails when a member of X has fewer than j there.  Only
-    full m-sets reach the connectivity kernel.
+    full m-sets reach the connectivity kernel, and at j = m - 2 none do:
+    every member then misses at most one other, so a non-adjacent pair
+    has the other j members as common neighbors, and by Menger's theorem
+    the set is j-connected.  That needs a seed of at most two vertices,
+    as the scanner's are.
     """
     budget = m - 1 - j
 
@@ -156,12 +162,13 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
                 cands &= row
         if need == 1:
             # A candidate within the allowance completes a set of minimum
-            # degree j; the kernel decides the rest.
+            # degree j; at allowance 1 that set is j-connected, and
+            # otherwise the kernel decides the rest.
             while cands:
                 low = cands & -cands
                 cands ^= low
                 miss = (X & ~adj[low.bit_length() - 1]).bit_count()
-                if miss <= budget and kappa_connected_mask(X | low, adj, j):
+                if miss <= budget and (budget == 1 or kappa_connected_mask(X | low, adj, j)):
                     return X | low
             return 0
         pool = X | cands

@@ -5,14 +5,17 @@ The verifier shares nothing with the deciders beyond the data model in
 the coloring's color tuple by pair index, and hc connectivity is
 re-derived from Menger's theorem (Menger, Fund. Math. 10, 1927).  A
 graph is j-connected exactly when every non-adjacent pair is joined by j
-internally vertex-disjoint paths.  So a complete (X, E) passes at once,
-and a non-complete one on at most j + 1 vertices fails, because a
-non-adjacent pair has at most j - 1 other vertices to route through.
-The vertex-split graph is built once per certificate, as a residual
-dict-of-dicts.  Each non-adjacent pair's paths are still counted on their
-own, by augmenting paths that stop at j, and the pair's flow is undone
-before the next pair.  That is polynomial in |X|, where removing every
-set of fewer than j vertices is exponential in j.
+internally vertex-disjoint paths.  So a complete (X, E) passes at once.
+A non-complete one with a vertex of fewer than j neighbors fails: that
+vertex's neighborhood cuts it off from a non-neighbor, or, when it has
+none, X has at most j vertices and a non-adjacent pair at most j - 2
+others to route through.  A non-adjacent pair with j common neighbors
+has j disjoint two-edge paths and needs no flow.  The paths of every
+other pair are counted on their own, by augmenting paths that stop at
+j, on the vertex-split graph, a residual dict-of-dicts built on the
+first such pair and reused, each pair's flow undone before the next.
+That is polynomial in |X|, where removing every set of fewer than j
+vertices is exponential in j.
 """
 
 from __future__ import annotations
@@ -148,9 +151,15 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
             nbrs[b].add(a)
         if len(cert.E) == len(cert.X) * (len(cert.X) - 1) // 2:
             return None  # complete, so no pair is non-adjacent
-        residual = _split_graph(nbrs)
+        if min(map(len, nbrs.values())) < cert.j:
+            return f"(X, E) is not {cert.j}-connected"
+        residual = None
         for a, b in combinations(cert.X, 2):
-            if b not in nbrs[a] and not _disjoint_paths_at_least(residual, a, b, cert.j):
+            if b in nbrs[a] or len(nbrs[a] & nbrs[b]) >= cert.j:
+                continue
+            if residual is None:
+                residual = _split_graph(nbrs)
+            if not _disjoint_paths_at_least(residual, a, b, cert.j):
                 return f"(X, E) is not {cert.j}-connected"
         return None
     return f"unknown certificate type {type(cert).__name__}"

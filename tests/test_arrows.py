@@ -742,3 +742,46 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
                     for ext in top_extensions(c):
                         want = hc_witness_sweep(ext, m, j, palettes, seed=1 << n)
                         assert witness(ext, query, palettes, seed=1 << n) == want
+
+
+def test_allowance_one_needs_no_kernel(monkeypatch):
+    # At j = m - 2 a candidate within the allowance completes a witness:
+    # two non-adjacent members share the other j as neighbors.  The
+    # subset sweep still decides every m-set with the kernel.
+    def kernel(*args):
+        raise AssertionError("kernel called at j = m - 2")
+
+    monkeypatch.setattr(arrows, "kappa_connected_mask", kernel)
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        lam = rng.randint(1, 3)
+        m = rng.randint(3, min(n, 7))
+        weights = [rng.random() for _ in range(lam)]
+        c = Coloring(n, lam, tuple(rng.choices(range(lam), weights, k=n * (n - 1) // 2)))
+        palettes = [Palette(frozenset(p)) for p in palette_tuples(lam, rng.randint(1, 2))]
+        query = RelationQuery("hc", m, 1, m - 2)
+        a, b = sorted(rng.sample(range(n), 2))
+        for seed in (0, 1 << (n - 1), 1 << a | 1 << b):
+            want = hc_witness_sweep(c, m, m - 2, palettes, seed=seed)
+            assert witness(c, query, palettes, seed=seed) == want
+
+
+def test_allowance_two_still_reaches_the_kernel(monkeypatch):
+    # Two 4-cliques sharing the edge 23: every vertex misses at most two
+    # others, as at j = m - 3 on m = 6, but {2, 3} is a cut, so only the
+    # kernel tells the set from a 3-connected one.
+    calls = []
+    kernel = arrows.kappa_connected_mask
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(arrows, "kappa_connected_mask", spy)
+    rows = [0] * 6
+    for a, b in {*combinations(range(4), 2), *combinations(range(2, 6), 2)}:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    assert _witness(RelationQuery("hc", 6, 1, 3), rows) is None
+    assert calls

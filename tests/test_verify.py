@@ -8,6 +8,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import connramsey
 from connramsey import (
     HcCertificate,
@@ -98,16 +100,56 @@ def test_classical_certificate_on_30_vertices_through_cli(tmp_path):
     assert cli("verify", str(cert), str(col)) == (0, '{"valid":true}\n')
 
 
-def test_hub_certificate_rejected_after_least_degree_edges_drop():
-    # The benchmark's hc mutation: cut a least-degree vertex v down to
-    # min(j - 1, |X| - 2) edges, so that v has a non-neighbor and fewer
-    # than j neighbors.
-    c = hub_coloring(8, 8)
-    cert = decide(c, RelationQuery("hc", 16, 1, 8)).certificate
-    assert verify_certificate(cert, c) is None
+def cut_least_degree_vertex(cert):
+    """The benchmark's hc mutation: cut a least-degree vertex v down to
+    min(j - 1, |X| - 2) edges, so that v has a non-neighbor and fewer
+    than j neighbors."""
     degree = {v: sum(v in e for e in cert.E) for v in cert.X}
     v = min(cert.X, key=lambda x: (degree[x], x))
     at_v = sorted(e for e in cert.E if v in e)
     keep = min(cert.j - 1, len(cert.X) - 2)
-    broken = HcCertificate(cert.n, cert.lam, cert.X, cert.palette, cert.E - set(at_v[keep:]), cert.j)
-    assert verify_certificate(broken, c) == "(X, E) is not 8-connected"
+    return HcCertificate(cert.n, cert.lam, cert.X, cert.palette, cert.E - set(at_v[keep:]), cert.j)
+
+
+@pytest.fixture
+def no_split_graph(monkeypatch):
+    """Fail any verify call that builds the split graph for a flow."""
+
+    def split_graph(nbrs):
+        raise AssertionError("split graph built")
+
+    monkeypatch.setattr(connramsey.verify, "_split_graph", split_graph)
+
+
+def test_hub_certificate_rejected_after_least_degree_edges_drop(no_split_graph):
+    # K8,8: every non-adjacent pair shares 8 neighbors, and the mutation
+    # leaves a vertex with fewer than 8, so counting settles both.
+    c = hub_coloring(8, 8)
+    cert = decide(c, RelationQuery("hc", 16, 1, 8)).certificate
+    assert verify_certificate(cert, c) is None
+    assert verify_certificate(cut_least_degree_vertex(cert), c) == "(X, E) is not 8-connected"
+
+
+def test_cut_down_clique_rejected_without_a_flow(no_split_graph):
+    c = make_coloring(17, 1, [(a, b, 0) for a, b in combinations(range(17), 2)])
+    cert = decide(c, RelationQuery("classical", 17, 1)).certificate
+    assert verify_certificate(cert, c) is None
+    assert verify_certificate(cut_least_degree_vertex(cert), c) == "(X, E) is not 17-connected"
+
+
+def test_pairs_that_counting_cannot_settle_still_flow(monkeypatch):
+    built = []
+    split_graph = connramsey.verify._split_graph
+
+    def spy(nbrs):
+        built.append(nbrs)
+        return split_graph(nbrs)
+
+    monkeypatch.setattr(connramsey.verify, "_split_graph", spy)
+    cert, c = circulant_certificate(30, range(1, 8), 14)
+    assert verify_certificate(cert, c) is None
+    assert len(built) == 1
+    c = random_coloring(20, 2, 1)
+    cert = decide(c, RelationQuery("hc", 12, 1, 4)).certificate
+    assert verify_certificate(cert, c) is None
+    assert len(built) == 2
