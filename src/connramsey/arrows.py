@@ -22,13 +22,19 @@ order, and the first witness wins.
 Threshold search quotients colorings by color permutations only; vertex
 order carries meaning for wc, so vertex symmetry is never used.  Every
 relation is monotone in the palette-colored pairs: adding pairs to a
-palette never breaks a j-connected set or a well-connected chain.  The
-scanner walks the canonical colorings of each n depth first over the
-pair slots in enumeration order, with the unassigned pairs in no
-palette, and prunes a subtree as soon as its partial coloring has a
-witness; the first leaf without one is the level's lexicographically
-least failing canonical coloring, and a level with none is the
-threshold.  It alone serves classical and hc.
+palette never breaks a j-connected set or a well-connected chain.  A
+walk colors the pair slots of the canonical colorings depth first, with
+the unassigned pairs in no palette, and prunes a subtree as soon as its
+partial coloring has a witness.  The relations are also hereditary, and
+in colex pair order (every pair of 0..b-1 before any pair with b) a
+prefix holding every pair of 0..n-1 is a coloring on n vertices, so for
+classical and hc one walk over the pairs of n_max vertices extends each
+level's failing colorings to the next: the most vertices it colors
+without a witness make the last failing level.  Colex order prunes
+nothing below m vertices, so the walk in lexicographic pair order (the
+scanner) checks level m first.  Its first leaf without a witness is the
+level's lexicographically least failing canonical coloring, so the
+scanner also fetches the extremal.
 
 For wc, where a new pair can relate pairs away from it and each check
 costs a whole order, a walk over order states replaces the scanner.  A
@@ -57,7 +63,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from .connectivity import kappa_connected_mask
 from .core import (
@@ -202,10 +208,11 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     return grow(X, cands, m - X.bit_count())
 
 
-def _witness(query: RelationQuery, adj, seed: int = 0) -> tuple[int, ...] | None:
-    """The lexicographically least witness in the palette adjacency rows
-    adj that contains the vertex mask `seed`, as ascending vertices, or
-    None when there is none.
+def _witness(query: RelationQuery, adj, seed: int = 0, full: int = 0) -> int:
+    """Vertex mask of the lexicographically least witness in the palette
+    adjacency rows adj that contains the vertex mask `seed` and lies in
+    the vertex mask `full` (all of adj's vertices when 0), or 0 when
+    there is none.
 
     j >= m - 1 (classical, and hc by default) is the clique search: an
     (m - 1)-connected graph on m vertices is complete.  Smaller j is the
@@ -213,24 +220,25 @@ def _witness(query: RelationQuery, adj, seed: int = 0) -> tuple[int, ...] | None
     full m-sets to the connectivity kernel.  A caller passes a seed when
     every classical or hc witness must contain it: the rows had none
     before the caller added the pair the seed is.  wc takes the least
-    chain of the well-connectedness order and ignores the seed, since a
-    new pair can relate pairs away from it.
+    chain of the well-connectedness order on all of adj, ignoring `full`,
+    and ignores the seed, since a new pair can relate pairs away from it.
     """
     m = query.m
     if query.mode == "wc":
         return chain_of_length(wc_order_rows(adj), m)
     j = m if query.j is None else query.j
-    full = (1 << len(adj)) - 1
+    full = full or (1 << len(adj)) - 1
     if j < m - 1:
-        xmask = _find_connected(adj, seed, full ^ seed, m, j)
-    else:
-        # The vertices adjacent to every member of the seed, and the seed
-        # itself when it is a clique.
-        cands = full
-        for v in bits(seed):
-            cands &= adj[v] | 1 << v
-        xmask = _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
-    return tuple(bits(xmask)) if xmask else None
+        return _find_connected(adj, seed, full ^ seed, m, j)
+    # The vertices adjacent to every member of the seed, and the seed
+    # itself when it is a clique.
+    cands = full
+    rest = seed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cands &= adj[low.bit_length() - 1] | low
+    return _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
 
 
 def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
@@ -248,10 +256,11 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     for pal in palette_tuples(c.lam, query.kappa):
         palette = Palette(frozenset(pal))
         adj = palette_adjacency(c, palette.members)
-        X = _witness(query, adj)
-        if X is None:
+        xmask = _witness(query, adj)
+        if not xmask:
             tried.append(pal)
             continue
+        X = tuple(bits(xmask))
         if query.mode == "wc":
             cert = wc_certificate(c.n, c.lam, X, palette, adj)
             assert cert is not None  # chain pairs are related by construction
@@ -283,27 +292,29 @@ def _maximal_palettes(lam: int, kappa: int) -> list[Palette]:
     return [Palette(frozenset(pal)) for pal in combinations(range(lam), min(kappa, lam))]
 
 
-def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
-    """The first failing canonical coloring on n vertices in enumeration
-    order, or None when every one holds.
-
-    A depth-first walk over the pair slots, in lexicographic order of the
-    restricted-growth strings (one per color-permutation orbit: each slot
-    takes at most one more than the largest color before it), keeps each
-    palette's adjacency rows in place.  Unassigned pairs lie in no
-    palette, and every relation is monotone in the palette-colored pairs,
-    so a witness on a partial coloring is one on every completion and
-    prunes the subtree.  A walk that reaches a node has found no witness
-    above it, so once slot (a, b) takes color x only the palettes that
-    contain x can gain one, and for classical and hc only through a and
-    b.  The first leaf without a witness is the failure.  Yields n after
-    every witness search and returns the failing Coloring or None."""
-    pairs = list(combinations(range(n), 2))
-    rows = [[0] * n for _ in palettes]
+def _walk(query: RelationQuery, lam: int, pairs, palettes, floor: int):
+    """A depth-first walk over the restricted-growth strings of the slots
+    `pairs` (one per color-permutation orbit: each slot takes at most one
+    more than the largest color before it), in lexicographic order, that
+    keeps each palette's adjacency rows in place.  A witness on a prefix,
+    its unassigned pairs in no palette, prunes the subtree.  A walk that
+    reaches a node has found no witness above it, so once slot (a, b)
+    takes color x only the palettes that contain x can gain one, for
+    classical and hc only through a and b, and none can while the slots
+    lie inside 0..m-2.  Yields after every node the larger of floor and one
+    more than the largest vertex of the slots so far; stops at the first
+    leaf without a witness and returns the colors of the first longest
+    prefix without one."""
+    m = query.m
+    # tops[i]: the largest vertex of pairs[:i + 1].
+    tops = list(accumulate((b for _, b in pairs), max))
+    levels = [max(floor, top + 1) for top in tops]
+    rows = [[0] * (tops[-1] + 1) for _ in palettes]
     by_color = [[r for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
     buf = [-1] * len(pairs)
     # hi[i]: the largest color among buf[:i]; slot i takes at most one more.
     hi = [-1] * len(pairs)
+    longest = ()
     i = 0
     while i >= 0:
         a, b = pairs[i]
@@ -320,33 +331,49 @@ def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
         for adj in by_color[x]:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        seed = 1 << a | 1 << b
+        top = tops[i]
         held = False
-        for adj in by_color[x]:
-            if _witness(query, adj, seed) is not None:
-                held = True
-                break
-        yield n
+        if top >= m - 1:
+            seed = 1 << a | 1 << b
+            for adj in by_color[x]:
+                if _witness(query, adj, seed, (2 << top) - 1):
+                    held = True
+                    break
+        yield levels[i]
         if not held:
             if i == len(pairs) - 1:
-                return Coloring(n, lam, tuple(buf))
+                return tuple(buf)
+            if i >= len(longest):
+                longest = tuple(buf[: i + 1])
             i += 1
             hi[i] = max(hi[i - 1], x)
-    return None
+    return longest
 
 
-def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
-    """The scanner: per n, the first failing canonical coloring in
-    enumeration order.  Yields the level after every witness search and
+def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
+    """The first failing canonical coloring on n vertices in enumeration
+    order (lexicographic pair order), or None when every one holds."""
+    pairs = list(combinations(range(n), 2))
+    colors = yield from _walk(query, lam, pairs, palettes, n)
+    return Coloring(n, lam, colors) if len(colors) == len(pairs) else None
+
+
+def _colex_search(query: RelationQuery, lam: int, n_max: int, palettes):
+    """The classical and hc threshold search (see the module docstring);
     returns the ThresholdResult."""
     m = query.m
-    prev_failing = constant_coloring(m - 1, 0, lam)
-    for n in range(m, n_max + 1):
-        failing = yield from _first_failure(query, n, lam, palettes)
-        if failing is None:
-            return ThresholdResult(n, prev_failing)
-        prev_failing = failing
-    return ThresholdResult(None, prev_failing)
+    failing = yield from _first_failure(query, m, lam, palettes)
+    if failing is None:
+        return ThresholdResult(m, constant_coloring(m - 1, 0, lam))
+    n = m
+    if n_max > m:
+        colex = [(a, b) for b in range(1, n_max) for a in range(b)]
+        colors = yield from _walk(query, lam, colex, palettes, m)
+        # The largest n with every pair of 0..n-1 in the prefix.
+        n = (1 + math.isqrt(1 + 8 * len(colors))) // 2
+        if n > m:
+            failing = yield from _first_failure(query, n, lam, palettes)
+    return ThresholdResult(None if n == n_max else n + 1, failing)
 
 
 def _grow_order(succ, mask: int) -> tuple[int, ...]:
@@ -394,7 +421,7 @@ def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
                 hit = grown.get((i, mask))
                 if hit is None:
                     succ = _grow_order(state[i], mask)
-                    hit = grown[i, mask] = succ, chain_of_length(succ, m) is not None
+                    hit = grown[i, mask] = succ, chain_of_length(succ, m) != 0
                     yield n
                 if hit[1]:
                     break
@@ -449,8 +476,8 @@ def ramsey_number(
     """Least n <= n_max such that every coloring of the pairs of n
     vertices with lam colors satisfies the relation.
 
-    Runs the pruned scanner, or for wc the walk over order states (see
-    the module docstring); the failing coloring is the lexicographically
+    Runs the colex walk, or for wc the walk over order states (see the
+    module docstring); the failing coloring is the lexicographically
     least canonical one at its level.  With kappa >= lam it returns
     threshold m at once.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
@@ -471,5 +498,5 @@ def ramsey_number(
         return ThresholdResult(m, constant_coloring(m - 1, 0, lam))
     deadline = None if time_limit is None else time.monotonic() + time_limit
     palettes = _maximal_palettes(lam, kappa)
-    search = _wc_states if mode == "wc" else _scan_levels
+    search = _wc_states if mode == "wc" else _colex_search
     return _drive(search(query, lam, n_max, palettes), deadline)

@@ -105,9 +105,9 @@ def _chain_levels(succ, m: int) -> list[int]:
     return levels
 
 
-def chain_of_length(succ, m: int) -> tuple[int, ...] | None:
-    """Lexicographically least ascending chain with exactly m vertices of
-    the order with successor masks succ, or None.
+def chain_of_length(succ, m: int) -> int:
+    """Vertex mask of the lexicographically least ascending chain with
+    exactly m vertices of the order with successor masks succ, or 0.
 
     Taking the least vertex of each level in turn, from the top level
     down, among the successors of the last one taken is exact because the
@@ -116,12 +116,12 @@ def chain_of_length(succ, m: int) -> tuple[int, ...] | None:
     """
     levels = _chain_levels(succ, m)
     if len(levels) < m:
-        return None
-    out = []
+        return 0
+    chain = 0
     cands = -1
     for level in reversed(levels):
         low = cands & level
-        v = (low & -low).bit_length() - 1
-        out.append(v)
-        cands = succ[v]
-    return tuple(out)
+        low &= -low
+        chain |= low
+        cands = succ[low.bit_length() - 1]
+    return chain

@@ -5,11 +5,13 @@ results can be checked against code that shares nothing with the
 production paths: simple-path search instead of reachability, subset
 sweeps instead of chain dynamic programming and clique search, and a
 brute-force removal enumerator instead of flows or path counting.  The
-hc witness oracle leans only on that enumerator.  Three are exceptions:
+hc witness oracle leans only on that enumerator.  Four are exceptions:
 the hc subset sweep shares the connectivity kernel and checks only the
 pruning of the witness search; the per-coloring threshold scanner
 (first_failures) runs decide on every canonical coloring and checks
-only the pruning of the threshold search; and the colour-orbit
+only the pruning of the threshold search; the level-by-level scanner
+(_scan_levels), which shares the restricted-growth walk and checks the
+classical and hc search in colex pair order; and the colour-orbit
 extension search (_extend_levels), which shares the witness search,
 checks the wc search over order states level by level.  Also here: the
 color relabelings the tests use (the canonical form is the slow oracle
@@ -50,7 +52,7 @@ from connramsey import (
     WcCertificate,
     make_coloring,
 )
-from connramsey.arrows import ThresholdResult, _witness, decide
+from connramsey.arrows import ThresholdResult, _first_failure, _witness, decide
 from connramsey.connectivity import kappa_connected_mask
 from connramsey.core import (
     _as_int,
@@ -60,6 +62,7 @@ from connramsey.core import (
     palette_adjacency,
     palette_rows,
 )
+from connramsey.generators import constant_coloring
 from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
@@ -439,10 +442,24 @@ def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
             verdict = held.get((i, mask))
             if verdict is None:
                 rows = [r | 1 << last if mask >> a & 1 else r for a, r in enumerate(base_rows[i])]
-                verdict = held[i, mask] = _witness(query, rows + [mask], 1 << last) is not None
+                verdict = held[i, mask] = _witness(query, rows + [mask], 1 << last) != 0
             if verdict:
                 break
         yield top, verdict, len(held) > before
+
+
+def _scan_levels(query: RelationQuery, lam: int, n_max: int, palettes):
+    """The level-by-level scanner: per n, the first failing canonical
+    coloring in enumeration order, each level walked from scratch.
+    Yields what the walk yields and returns the ThresholdResult."""
+    m = query.m
+    prev_failing = constant_coloring(m - 1, 0, lam)
+    for n in range(m, n_max + 1):
+        failing = yield from _first_failure(query, n, lam, palettes)
+        if failing is None:
+            return ThresholdResult(n, prev_failing)
+        prev_failing = failing
+    return ThresholdResult(None, prev_failing)
 
 
 def _extend_levels(query: RelationQuery, lam: int, n_max: int, palettes):
@@ -501,7 +518,7 @@ def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
     lexicographically least vertex list.
     """
     succ = wc_order(c, palette)
-    return chain_of_length(succ, len(_chain_levels(succ, c.n)))
+    return tuple(bits(chain_of_length(succ, len(_chain_levels(succ, c.n)))))
 
 
 def tree_check(c: Coloring, palette: Palette) -> bool:

@@ -16,20 +16,21 @@ from connramsey import (
 )
 from connramsey import arrows
 from connramsey.arrows import (
+    _colex_search,
     _first_failure,
     _grow_order,
     _maximal_palettes,
-    _scan_levels,
     _wc_states,
     _witness,
     palette_tuples,
 )
-from connramsey.core import Coloring, Palette, palette_adjacency, palette_rows
+from connramsey.core import Coloring, Palette, bits, palette_adjacency, palette_rows
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from connramsey.wellconn import chain_of_length, wc_order_rows
 from oracles import (
     Graph,
     _extend_levels,
+    _scan_levels,
     _unpack,
     canonical_color_form,
     canonical_colorings,
@@ -419,8 +420,8 @@ def witness(c, query, palettes, seed=0):
     have a witness, X the least one; None when none has."""
     for p in palettes:
         X = _witness(query, palette_adjacency(c, p.members), seed=seed)
-        if X is not None:
-            return p, X
+        if X:
+            return p, tuple(bits(X))
     return None
 
 
@@ -477,6 +478,72 @@ def test_pruned_scanner_matches_per_coloring_oracle(lam):
                 assert drain(_first_failure(query, n, lam, palettes)) == c
 
 
+def drain_counting(search):
+    """Drain a threshold search; return its result, how often it yielded
+    and the largest level it yielded."""
+    steps, top = 0, 0
+    while True:
+        try:
+            top = max(top, next(search))
+        except StopIteration as done:
+            return done.value, steps, top
+        steps += 1
+
+
+HEREDITARY = [(mode, m, j) for mode, m, j in RELATIONS if mode != "wc"]
+
+
+@pytest.mark.parametrize("lam", (1, 2, 3))
+def test_colex_search_matches_level_scanner(lam):
+    # The walk in colex pair order extends each level's failing colorings
+    # to the next; it must return what the scanner finds level by level.
+    for mode, m, j in HEREDITARY:
+        for kappa in (1, 2):
+            query = RelationQuery(mode, m, kappa, j)
+            palettes = _maximal_palettes(lam, kappa)
+            for n_max in range(m, 7):
+                want = drain(_scan_levels(query, lam, n_max, palettes))
+                assert drain(_colex_search(query, lam, n_max, palettes)) == want
+
+
+@pytest.mark.parametrize("lam", (1, 2, 3))
+def test_colex_search_yields_no_level_above_the_threshold(lam):
+    # A stopped search reports the largest level it yielded as a lower
+    # bound on the threshold (run_thresholds.py prints it as at_least).
+    for mode, m, j in HEREDITARY:
+        for kappa in (1, 2):
+            query = RelationQuery(mode, m, kappa, j)
+            palettes = _maximal_palettes(lam, kappa)
+            for n_max in range(m, 8 if lam < 3 else 7):
+                res, _, top = drain_counting(_colex_search(query, lam, n_max, palettes))
+                assert top <= (n_max if res.threshold is None else res.threshold)
+
+
+def test_colex_search_checks_level_m_first():
+    # A cell whose threshold is m settles in the scanner's walk of level m
+    # (1,311 nodes here); a walk in colex order alone would first color
+    # every pair of m - 1 vertices in every way, and took 29,525.
+    query = RelationQuery("hc", 6, 2, 1)
+    res, steps, _ = drain_counting(_colex_search(query, 3, 8, _maximal_palettes(3, 2)))
+    assert res.threshold == 6
+    assert steps <= 1311
+
+
+def test_colex_walk_colors_11_vertices_without_an_hc_6_3_witness():
+    # The walk over the pairs of 11 vertices in colex order stops at its
+    # first leaf without a witness, a failing coloring on 11 vertices, so
+    # hc m=6 j=3 with two colors has threshold at least 12.  The oracle
+    # shares no code with the walk's witness search.
+    query = RelationQuery("hc", 6, 1, 3)
+    colex = [(a, b) for b in range(1, 11) for a in range(b)]
+    res, steps, _ = drain_counting(arrows._walk(query, 2, colex, _maximal_palettes(2, 1), 6))
+    assert len(res) == len(colex) and steps <= 17681
+    color = dict(zip(colex, res))
+    c = Coloring(11, 2, tuple(color[p] for p in combinations(range(11), 2)))
+    assert not decide(c, query).holds
+    assert hc_witness_bruteforce(c, 6, 1, 3)[1] is None
+
+
 def is_witness(c, query, pal, X):
     """Whether X is a witness in c under the palette, by the oracles."""
     if query.mode == "wc":
@@ -504,8 +571,8 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
         for k in free:
             colors[k] = -1
         for pal in _maximal_palettes(lam, kappa):
-            hit = _witness(query, palette_rows(n, colors, pal.members))
-            if hit is None:
+            hit = tuple(bits(_witness(query, palette_rows(n, colors, pal.members))))
+            if not hit:
                 continue
             hits += 1
             for fill in product(range(lam), repeat=len(free)):
@@ -609,7 +676,7 @@ def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
                     for ext in top_extensions(c):
                         grown = tuple(_grow_order(s, top_mask(ext, p)) for s, p in zip(state, palettes))
                         assert grown == state_of(ext, palettes)
-                        holds = any(chain_of_length(succ, m) is not None for succ in grown)
+                        holds = any(chain_of_length(succ, m) for succ in grown)
                         assert holds == decide(ext, query).holds
 
 
@@ -783,5 +850,5 @@ def test_allowance_two_still_reaches_the_kernel(monkeypatch):
     for a, b in {*combinations(range(4), 2), *combinations(range(2, 6), 2)}:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    assert _witness(RelationQuery("hc", 6, 1, 3), rows) is None
+    assert _witness(RelationQuery("hc", 6, 1, 3), rows) == 0
     assert calls
