@@ -25,12 +25,13 @@ like every vertex of a least cut, has a neighbor in each component of
 G - S, so S separates two non-adjacent neighbors of v.  So only those
 pairs need a flow, and a pair with kappa common neighbors needs none:
 those give kappa internally disjoint two-edge paths.  Each flow is
-unit-capacity flow on the vertex-split graph, whose residual arcs are
-read from bitmasks of the current flow rather than stored.  The tests
-check it against a brute-force removal enumerator in `tests/oracles.py`,
-which keeps the removal definition literal, and against the certificate
-verifier, which counts disjoint paths on its own and imports nothing
-from here.
+unit-capacity flow on the vertex-split graph: its residual arcs are read
+from bitmasks of the current flow, and each augmenting path is found one
+breadth-first layer mask at a time and walked back by bit tests.  The
+tests check it against the parent-map flow it replaced and a brute-force
+removal enumerator in `tests/oracles.py`, which keeps the removal
+definition literal, and against the certificate verifier, which counts
+disjoint paths on its own and imports nothing from here.
 """
 
 from __future__ import annotations
@@ -86,77 +87,76 @@ def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
     edge vw gives the arcs v_out -> w_in and w_out -> v_in; every arc has
     capacity one, which suffices because flow through any edge is
     throttled by its endpoints.  The flow runs from s_out to t_in and is
-    kept in three masks: fout[v] holds the w with flow on v_out -> w_in,
-    fin[w] the same arcs seen from w, and used the vertices whose split
-    arc carries flow.  Each augmenting-path search reads the residual
-    arcs from them and adj:
+    kept in masks: res[v] is adj[v] less the w with flow on v_out -> w_in,
+    fin[w] holds the v with flow on those arcs, and used the vertices
+    whose split arc carries flow.  Each augmenting-path search reads the
+    residual arcs from them and the symmetric rows adj:
 
-        v_out -> w_in   w in adj[v] & vmask, w != s, w not in fout[v]
+        v_out -> w_in   w in res[v] & vmask, w != s
         w_in -> v_out   v in fin[w] (cancels flow)
         v_in -> v_out   v not in used
         v_out -> v_in   v in used (cancels flow)
 
-    Conservation gives fin[v] and fout[v] one bit each for v in used and
-    none otherwise (s and t aside), so a used vertex's entry leads back
-    only to its predecessor on its path.  Stops as soon as k paths exist.
+    Conservation gives fin[v] and adj[v] ^ res[v] one bit each for v in
+    used and none otherwise (s and t aside): a used vertex's entry leads
+    back only to its path predecessor, and its exit is reached only from
+    its successor's entry.  A search keeps one mask per layer of exits
+    and stops at the layer that reaches t_in; the path is then walked
+    back by bit tests.  Stops as soon as k paths exist.
     """
     size = vmask.bit_length()
-    fout = [0] * size
+    res = adj[:size]
     fin = [0] * size
     used = 0
-    sbit, tbit = 1 << s, 1 << t
-    enter = vmask & ~sbit  # no path re-enters s
+    enter = vmask & ~(1 << s)  # no path re-enters s
     for _ in range(k):
-        # BFS by layers of exits.  from_out[w] is the exit that reached
-        # w_in (w itself: the reversed split arc); from_in[v] is the entry
-        # that reached v_out (v itself: the split arc).
-        from_out: dict[int, int] = {}
-        from_in: dict[int, int] = {}
+        layers = []
         seen_in = 0
-        seen_out = frontier = sbit
-        while frontier:
-            entries = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                v = low.bit_length() - 1
-                opened = (adj[v] & ~fout[v] & enter | used & low) & ~seen_in
-                seen_in |= opened
-                entries |= opened
-                while opened:
-                    w_low = opened & -opened
-                    opened ^= w_low
-                    from_out[w_low.bit_length() - 1] = v
-            if seen_in & tbit:
-                break
-            while entries:
-                low = entries & -entries
-                entries ^= low
-                w = low.bit_length() - 1
-                nxt = fin[w] if used & low else low
-                if not seen_out & nxt:
-                    seen_out |= nxt
-                    frontier |= nxt
-                    from_in[nxt.bit_length() - 1] = w
-        if not seen_in & tbit:
-            return False
-        # Augment along the path back from t_in to s_out.
-        w = t
+        seen_out = exits = 1 << s
         while True:
-            v = from_out[w]
+            layers.append(exits)
+            reached = 0
+            step = exits
+            while step:
+                low = step & -step
+                step ^= low
+                reached |= res[low.bit_length() - 1]
+            entries = (reached & enter | exits & used) & ~seen_in
+            if entries >> t & 1:
+                break
+            seen_in |= entries
+            exits = entries & ~used
+            step = entries & used
+            while step:
+                low = step & -step
+                step ^= low
+                exits |= fin[low.bit_length() - 1]
+            exits &= ~seen_out
+            if not exits:
+                return False
+            seen_out |= exits
+        # Augment back from t_in.  A step reads before it writes; what it
+        # writes, later steps read only outside the layers they test.
+        w = t
+        for exits in reversed(layers):
+            wbit = 1 << w
+            back = exits & (adj[w] & ~fin[w] | used & wbit)
+            vbit = back & -back
+            v = vbit.bit_length() - 1
+            prev = adj[v] ^ res[v] if used & vbit else vbit
             if v == w:
-                used &= ~(1 << v)
+                used ^= vbit
             else:
-                fout[v] |= 1 << w
-                fin[w] |= 1 << v
+                res[v] ^= wbit
+                fin[w] |= vbit
             if v == s:
                 break
-            w = from_in[v]
-            if w == v:
-                used |= 1 << v
+            w = prev.bit_length() - 1
+            if prev == vbit:
+                used |= vbit
             else:
-                fout[v] &= ~(1 << w)
-                fin[w] &= ~(1 << v)
+                res[v] ^= prev
+                fin[w] ^= vbit
     return True
 
 

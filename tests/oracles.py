@@ -33,7 +33,9 @@ parsing (from_int, ord_parse).
 Last come the per-line and per-pair coloring and certificate readers and
 verifier (read_coloring_reference, certificate_from_json_reference,
 verify_certificate_reference), the references the library's bulk
-versions are held to.
+versions are held to, and the kernel's flow as it was before its
+layer-mask search (cut_at_least_reference), which records each
+vertex's BFS parent in a dict and which the layered flow is held to.
 """
 
 import json
@@ -230,6 +232,88 @@ def min_vertex_separator(vertices, edges, s, t):
             if t not in seen:
                 return size
     raise ValueError("s and t are adjacent")
+
+
+def cut_at_least_reference(vmask: int, adj, s: int, t: int, k: int) -> bool:
+    """At least k internally disjoint s-t paths (s, t non-adjacent).
+
+    Unit-capacity flow on the vertex-split graph: each v has an entry
+    v_in and an exit v_out joined by the split arc v_in -> v_out, and each
+    edge vw gives the arcs v_out -> w_in and w_out -> v_in; every arc has
+    capacity one, which suffices because flow through any edge is
+    throttled by its endpoints.  The flow runs from s_out to t_in and is
+    kept in three masks: fout[v] holds the w with flow on v_out -> w_in,
+    fin[w] the same arcs seen from w, and used the vertices whose split
+    arc carries flow.  Each augmenting-path search reads the residual
+    arcs from them and adj:
+
+        v_out -> w_in   w in adj[v] & vmask, w != s, w not in fout[v]
+        w_in -> v_out   v in fin[w] (cancels flow)
+        v_in -> v_out   v not in used
+        v_out -> v_in   v in used (cancels flow)
+
+    Conservation gives fin[v] and fout[v] one bit each for v in used and
+    none otherwise (s and t aside), so a used vertex's entry leads back
+    only to its predecessor on its path.  Stops as soon as k paths exist.
+    """
+    size = vmask.bit_length()
+    fout = [0] * size
+    fin = [0] * size
+    used = 0
+    sbit, tbit = 1 << s, 1 << t
+    enter = vmask & ~sbit  # no path re-enters s
+    for _ in range(k):
+        # BFS by layers of exits.  from_out[w] is the exit that reached
+        # w_in (w itself: the reversed split arc); from_in[v] is the entry
+        # that reached v_out (v itself: the split arc).
+        from_out: dict[int, int] = {}
+        from_in: dict[int, int] = {}
+        seen_in = 0
+        seen_out = frontier = sbit
+        while frontier:
+            entries = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                opened = (adj[v] & ~fout[v] & enter | used & low) & ~seen_in
+                seen_in |= opened
+                entries |= opened
+                while opened:
+                    w_low = opened & -opened
+                    opened ^= w_low
+                    from_out[w_low.bit_length() - 1] = v
+            if seen_in & tbit:
+                break
+            while entries:
+                low = entries & -entries
+                entries ^= low
+                w = low.bit_length() - 1
+                nxt = fin[w] if used & low else low
+                if not seen_out & nxt:
+                    seen_out |= nxt
+                    frontier |= nxt
+                    from_in[nxt.bit_length() - 1] = w
+        if not seen_in & tbit:
+            return False
+        # Augment along the path back from t_in to s_out.
+        w = t
+        while True:
+            v = from_out[w]
+            if v == w:
+                used &= ~(1 << v)
+            else:
+                fout[v] |= 1 << w
+                fin[w] |= 1 << v
+            if v == s:
+                break
+            w = from_in[v]
+            if w == v:
+                used |= 1 << v
+            else:
+                fout[v] &= ~(1 << w)
+                fin[w] &= ~(1 << v)
+    return True
 
 
 def canonical_color_form(c):

@@ -4,17 +4,21 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connramsey import (
     FormatError,
     kappa_connected_mask,
     read_graph,
 )
+from connramsey import connectivity
 from connramsey.connectivity import _cut_at_least
 from connramsey.verify import _disjoint_paths_at_least, _split_graph
 from oracles import (
     Graph,
     all_graphs_on,
+    cut_at_least_reference,
     graph_rows,
     is_complete,
     kappa_connected_bruteforce,
@@ -183,6 +187,88 @@ def test_cut_at_least_counts_min_vertex_separator():
             assert largest == sep, (adj, X, s, t)
             assert _cut_at_least(vmask, adj, t, s, sep)
             assert not _cut_at_least(vmask, adj, t, s, sep + 1)
+
+
+@st.composite
+def flow_instances(draw):
+    """Symmetric rows on up to 12 vertices, a vertex mask that holds s and
+    t and may leave out others (whose rows and bits stay in place), and a
+    non-adjacent pair s, t."""
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    adj = [0] * n
+    for (a, b), edge in zip(pairs, present):
+        if edge and {a, b} != {s, t}:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    inside = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    X = [v for v in range(n) if inside[v] or v in (s, t)]
+    return adj, X, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_instances())
+def test_layered_flow_matches_reference_and_separator(case):
+    """The layer-mask flow, the parent-map flow it replaced and the
+    brute-force separator agree for both orders of the pair and every k."""
+    adj, X, s, t = case
+    vmask = sum(1 << v for v in X)
+    g = induced(adj, X)
+    sep = min_vertex_separator(g.vertices, g.edges, s, t)
+    for a, b in ((s, t), (t, s)):
+        for k in range(1, len(X) + 1):
+            fast = _cut_at_least(vmask, adj, a, b, k)
+            assert fast == cut_at_least_reference(vmask, adj, a, b, k) == (k <= sep), (adj, X, a, b, k)
+
+
+def test_flow_walks_back_along_an_earlier_path():
+    """The first augmenting path s-a-b..-c-t is the only shortest one, and
+    the second must enter it at c, walk back to a through the reversed
+    split arcs of the b's, and leave by the z chain; with the x and w
+    chains, a third search must not reach b from c over a cancelled arc.
+    Random rows seldom need either, so both are built."""
+    rng = random.Random(8)
+    for length in (1, 2, 3):
+        chains = [
+            ("s", ["a", *(f"b{i}" for i in range(length)), "c"], "t"),
+            ("s", [f"y{i}" for i in range(length + 2)], "c"),
+            ("a", [f"z{i}" for i in range(length + 2)], "t"),
+            ("s", [f"x{i}" for i in range(length + 2)], "c"),
+            ("b0", [f"w{i}" for i in range(length + 2)], "t"),
+        ]
+        for used in (3, 5):
+            for _ in range(4):
+                walks = [[head, *body, tail] for head, body, tail in chains[:used]]
+                names = sorted({v for walk in walks for v in walk})
+                label = dict(zip(names, rng.sample(range(len(names)), len(names))))
+                edges = {tuple(sorted((label[p], label[q]))) for w in walks for p, q in zip(w, w[1:])}
+                g = make_graph(range(len(names)), edges)
+                adj, vmask = graph_rows(g), vertex_mask(g)
+                s, t = label["s"], label["t"]
+                sep = min_vertex_separator(g.vertices, g.edges, s, t)
+                assert sep == 2
+                for a, b in ((s, t), (t, s)):
+                    for k in (1, 2, 3):
+                        assert _cut_at_least(vmask, adj, a, b, k) == (k <= sep), (length, used, a, b, k)
+                        assert cut_at_least_reference(vmask, adj, a, b, k) == (k <= sep)
+
+
+def test_flow_counts_on_bench_circulants(monkeypatch):
+    """README's flow counts for the Esfahanian-Hakimi plan: a change to the
+    sink plan must update both."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cut_at_least(*args)
+
+    monkeypatch.setattr(connectivity, "_cut_at_least", counted)
+    for n, flows in ((40, 39), (60, 59)):
+        calls.clear()
+        assert kappa_connected_mask((1 << n) - 1, circulant_adj(n, 3), 6)
+        assert len(calls) == flows, n
 
 
 def test_even_cut_hidden_behind_first_sources():
