@@ -161,7 +161,7 @@ def _cut_at_least(vmask: int, adj, s: int, t: int, k: int) -> bool:
 
 
 def kappa_connected_mask(vmask: int, adj, kappa: int) -> bool:
-    """Bitset core of the fast decision; adj maps vertex -> neighbor mask.
+    """Bitset core of the fast decision; adj lists each vertex's neighbor mask.
 
     Neighbor masks may mention vertices outside vmask; they are ignored.
     After the connectivity, completeness, size and minimum-degree gates,

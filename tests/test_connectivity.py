@@ -220,7 +220,8 @@ def test_layered_flow_matches_reference_and_separator(case):
     for a, b in ((s, t), (t, s)):
         for k in range(1, len(X) + 1):
             fast = _cut_at_least(vmask, adj, a, b, k)
-            assert fast == cut_at_least_reference(vmask, adj, a, b, k) == (k <= sep), (adj, X, a, b, k)
+            slow = cut_at_least_reference(vmask, adj, a, b, k)
+            assert fast == slow == (k <= sep), (adj, X, a, b, k)
 
 
 def test_flow_walks_back_along_an_earlier_path():
@@ -238,12 +239,14 @@ def test_flow_walks_back_along_an_earlier_path():
             ("s", [f"x{i}" for i in range(length + 2)], "c"),
             ("b0", [f"w{i}" for i in range(length + 2)], "t"),
         ]
-        for used in (3, 5):
+        for arms in (3, 5):
             for _ in range(4):
-                walks = [[head, *body, tail] for head, body, tail in chains[:used]]
+                walks = [[head, *body, tail] for head, body, tail in chains[:arms]]
                 names = sorted({v for walk in walks for v in walk})
                 label = dict(zip(names, rng.sample(range(len(names)), len(names))))
-                edges = {tuple(sorted((label[p], label[q]))) for w in walks for p, q in zip(w, w[1:])}
+                edges = {
+                    tuple(sorted((label[p], label[q]))) for w in walks for p, q in zip(w, w[1:])
+                }
                 g = make_graph(range(len(names)), edges)
                 adj, vmask = graph_rows(g), vertex_mask(g)
                 s, t = label["s"], label["t"]
@@ -251,7 +254,7 @@ def test_flow_walks_back_along_an_earlier_path():
                 assert sep == 2
                 for a, b in ((s, t), (t, s)):
                     for k in (1, 2, 3):
-                        assert _cut_at_least(vmask, adj, a, b, k) == (k <= sep), (length, used, a, b, k)
+                        assert _cut_at_least(vmask, adj, a, b, k) == (k <= sep), (length, a, b, k)
                         assert cut_at_least_reference(vmask, adj, a, b, k) == (k <= sep)
 
 
