@@ -28,13 +28,18 @@ the unassigned pairs in no palette, and prunes a subtree as soon as its
 partial coloring has a witness.  The relations are also hereditary, and
 in colex pair order (every pair of 0..b-1 before any pair with b) a
 prefix holding every pair of 0..n-1 is a coloring on n vertices, so for
-classical and hc one walk over the pairs of n_max vertices extends each
-level's failing colorings to the next: the most vertices it colors
-without a witness make the last failing level.  Colex order prunes
+classical and hc one walk over the pairs of up to n_max vertices
+extends each level's failing colorings to the next, taking the pairs
+of a new vertex the first time it reaches it: the most vertices it
+colors without a witness make the last failing level.  The walk visits
+restricted-growth strings in lexicographic order and prunes only
+prefixes that hold a witness, so its first prefix over every pair of
+0..n-1 is the colex-least failing canonical coloring on n, and that
+coloring on the deepest level is the extremal.  Colex order prunes
 nothing below m vertices, so the walk in lexicographic pair order (the
-scanner) checks level m first.  Its first leaf without a witness is the
-level's lexicographically least failing canonical coloring, so the
-scanner also fetches the extremal.
+scanner) checks level m first; its first leaf without a witness, the
+level's lexicographically least failing canonical coloring, is the
+extremal when the colex walk completes no deeper level.
 
 For wc, where a new pair can relate pairs away from it and each check
 costs a whole order, a walk over order states replaces the scanner.  A
@@ -51,7 +56,8 @@ top mask) of it once, and descends depth first into every failing child,
 canonical under color permutations, that it has not reached before.  It
 stops at its first failing state on n_max; else, once every state it
 reached is expanded, the first depth with none is the threshold.  States
-keep no coloring, so the extremal comes from the scanner.  Verdicts try
+keep no coloring, so the extremal comes from the scanner, on the level
+below the threshold or on n_max.  Verdicts try
 only the maximal palettes, as every relation is monotone in the
 palette, and run on adjacency rows or orders: only the extremal is a
 Coloring.  With kappa >= lam the one maximal palette holds every pair,
@@ -63,7 +69,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 from .connectivity import kappa_connected_mask
 from .core import (
@@ -279,7 +285,10 @@ class ThresholdResult:
     extremal is a failing coloring at threshold - 1 on success (below the
     target size m every coloring fails for size reasons, so at n = m - 1
     the constant coloring is the witness) and a failing coloring at n_max
-    when the search is exhausted (threshold None).
+    when the search is exhausted (threshold None).  For classical and hc
+    it is the colex-least failing canonical coloring on its level, or
+    the lexicographically least at level m; for wc the lexicographically
+    least.
     """
 
     threshold: int | None
@@ -292,32 +301,50 @@ def _maximal_palettes(lam: int, kappa: int) -> list[Palette]:
     return [Palette(frozenset(pal)) for pal in combinations(range(lam), min(kappa, lam))]
 
 
-def _walk(query: RelationQuery, lam: int, pairs, palettes, floor: int):
-    """A depth-first walk over the restricted-growth strings of the slots
-    `pairs` (one per color-permutation orbit: each slot takes at most one
+def _walk(query: RelationQuery, lam: int, blocks, palettes, floor: int):
+    """A depth-first walk over the restricted-growth strings of the pair
+    slots (one per color-permutation orbit: each slot takes at most one
     more than the largest color before it), in lexicographic order, that
-    keeps each palette's adjacency rows in place.  A witness on a prefix,
-    its unassigned pairs in no palette, prunes the subtree.  A walk that
-    reaches a node has found no witness above it, so once slot (a, b)
-    takes color x only the palettes that contain x can gain one, for
-    classical and hc only through a and b, and none can while the slots
-    lie inside 0..m-2.  Yields after every node the larger of floor and one
-    more than the largest vertex of the slots so far; stops at the first
-    leaf without a witness and returns the colors of the first longest
-    prefix without one."""
+    keeps each palette's adjacency rows in place.  `blocks` yields the
+    slots as lists, each ending where the slots so far hold every pair of
+    0..n-1 for some n; the walk takes a block the first time it steps
+    past the slots it has.  A witness on a prefix, its unassigned pairs
+    in no palette, prunes the subtree.  A walk that reaches a node has
+    found no witness above it, so once slot (a, b) takes color x only the
+    palettes that contain x can gain one, for classical and hc only
+    through a and b, and none can while the slots lie inside 0..m-2.
+    Yields after every node the larger of floor and one more than the
+    largest vertex of the slots so far; stops at the first leaf without a
+    witness and returns the colors of the first prefix without one that
+    ends the deepest block it reaches, or () when it ends none."""
     m = query.m
-    # tops[i]: the largest vertex of pairs[:i + 1].
-    tops = list(accumulate((b for _, b in pairs), max))
-    levels = [max(floor, top + 1) for top in tops]
-    rows = [[0] * (tops[-1] + 1) for _ in palettes]
+    # slots[i]: its pair, the mask of 0..top for the largest vertex top of
+    # the slots up to i (0 while top < m - 1: no witness fits), the level
+    # it yields and whether it ends a block.
+    slots = []
+    rows = [[] for _ in palettes]
     by_color = [[r for p, r in zip(palettes, rows) if x in p.members] for x in range(lam)]
-    buf = [-1] * len(pairs)
+    buf = []
     # hi[i]: the largest color among buf[:i]; slot i takes at most one more.
-    hi = [-1] * len(pairs)
-    longest = ()
+    hi = []
+    top = -1
+
+    def add(block) -> None:
+        nonlocal top
+        last = len(block) - 1
+        for k, (a, b) in enumerate(block):
+            top = max(top, b)
+            slots.append((a, b, (2 << top) - 1 if top >= m - 1 else 0, max(floor, top + 1), k == last))
+        for adj in rows:
+            adj.extend([0] * (top + 1 - len(adj)))
+        buf.extend([-1] * len(block))
+        hi.extend([-1] * len(block))
+
+    add(next(blocks))
+    first = ()
     i = 0
     while i >= 0:
-        a, b = pairs[i]
+        a, b, full, level, end = slots[i]
         x = buf[i]
         if x >= 0:
             for adj in by_color[x]:
@@ -331,31 +358,32 @@ def _walk(query: RelationQuery, lam: int, pairs, palettes, floor: int):
         for adj in by_color[x]:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        top = tops[i]
         held = False
-        if top >= m - 1:
+        if full:
             seed = 1 << a | 1 << b
             for adj in by_color[x]:
-                if _witness(query, adj, seed, (2 << top) - 1):
+                if _witness(query, adj, seed, full):
                     held = True
                     break
-        yield levels[i]
+        yield level
         if not held:
-            if i == len(pairs) - 1:
-                return tuple(buf)
-            if i >= len(longest):
-                longest = tuple(buf[: i + 1])
+            if end and i >= len(first):
+                first = tuple(buf[: i + 1])
             i += 1
+            if i == len(slots):
+                block = next(blocks, None)
+                if block is None:
+                    return first
+                add(block)
             hi[i] = max(hi[i - 1], x)
-    return longest
+    return first
 
 
 def _first_failure(query: RelationQuery, n: int, lam: int, palettes):
     """The first failing canonical coloring on n vertices in enumeration
     order (lexicographic pair order), or None when every one holds."""
-    pairs = list(combinations(range(n), 2))
-    colors = yield from _walk(query, lam, pairs, palettes, n)
-    return Coloring(n, lam, colors) if len(colors) == len(pairs) else None
+    colors = yield from _walk(query, lam, iter([list(combinations(range(n), 2))]), palettes, n)
+    return Coloring(n, lam, colors) if colors else None
 
 
 def _colex_search(query: RelationQuery, lam: int, n_max: int, palettes):
@@ -367,12 +395,13 @@ def _colex_search(query: RelationQuery, lam: int, n_max: int, palettes):
         return ThresholdResult(m, constant_coloring(m - 1, 0, lam))
     n = m
     if n_max > m:
-        colex = [(a, b) for b in range(1, n_max) for a in range(b)]
-        colors = yield from _walk(query, lam, colex, palettes, m)
-        # The largest n with every pair of 0..n-1 in the prefix.
-        n = (1 + math.isqrt(1 + 8 * len(colors))) // 2
-        if n > m:
-            failing = yield from _first_failure(query, n, lam, palettes)
+        blocks = ([(a, b) for a in range(b)] for b in range(1, n_max))
+        colors = yield from _walk(query, lam, blocks, palettes, m)
+        # colors holds every pair of 0..deep-1 in colex order.
+        deep = (1 + math.isqrt(1 + 8 * len(colors))) // 2
+        if deep > m:
+            n = deep
+            failing = Coloring(n, lam, tuple(colors[b * (b - 1) // 2 + a] for a, b in combinations(range(n), 2)))
     return ThresholdResult(None if n == n_max else n + 1, failing)
 
 
@@ -477,9 +506,8 @@ def ramsey_number(
     vertices with lam colors satisfies the relation.
 
     Runs the colex walk, or for wc the walk over order states (see the
-    module docstring); the failing coloring is the lexicographically
-    least canonical one at its level.  With kappa >= lam it returns
-    threshold m at once.
+    module docstring); ThresholdResult says which failing coloring is
+    the extremal.  With kappa >= lam it returns threshold m at once.
     A time_limit (seconds) raises ResourceCapExceeded when exhausted; a
     NaN one raises ValueError, and inf runs unbounded.  Running past
     n_max is not an error but a threshold of None.  j is the hc

@@ -9,9 +9,10 @@ hc witness oracle leans only on that enumerator.  Four are exceptions:
 the hc subset sweep shares the connectivity kernel and checks only the
 pruning of the witness search; the per-coloring threshold scanner
 (first_failures) runs decide on every canonical coloring and checks
-only the pruning of the threshold search; the level-by-level scanner
+only the pruning of the threshold search, in lexicographic or colex
+pair order (lex_pairs, colex_pairs); the level-by-level scanner
 (_scan_levels), which shares the restricted-growth walk and checks the
-classical and hc search in colex pair order; and the colour-orbit
+thresholds of the classical and hc search in colex pair order; and the colour-orbit
 extension search (_extend_levels), which shares the witness search,
 checks the wc search over order states level by level.  Also here: the
 color relabelings the tests use (the canonical form is the slow oracle
@@ -449,22 +450,38 @@ def _restricted_growth(n: int, lam: int):
             cap[k] = nxt
 
 
-def canonical_colorings(n, lam):
+def lex_pairs(n):
+    """The pairs of 0..n-1 in lexicographic order, the order of
+    Coloring.colors and of the scanner's slots."""
+    return list(combinations(range(n), 2))
+
+
+def colex_pairs(n):
+    """The pairs of 0..n-1 in colex order, every pair of 0..b-1 before any
+    pair with b: the order of the threshold walk's slots."""
+    return [(a, b) for b in range(1, n) for a in range(b)]
+
+
+def canonical_colorings(n, lam, order=lex_pairs):
     """One coloring per color-permutation orbit, in the order of the
-    scanner's restricted-growth strings."""
-    return (Coloring(n, lam, colors) for colors in _restricted_growth(n, lam))
+    restricted-growth strings over the pair slots order(n)."""
+    slot = {p: k for k, p in enumerate(order(n))}
+    where = [slot[p] for p in lex_pairs(n)]
+    return (Coloring(n, lam, tuple(colors[k] for k in where)) for colors in _restricted_growth(n, lam))
 
 
-def first_failures(query, lam, n_max):
+def first_failures(query, lam, n_max, order):
     """The threshold scanner by decide, level by level: for each n from
-    query.m up to n_max, the first of canonical_colorings(n, lam) that
-    fails, stopping after the first level where none fails.  Returns
+    query.m up to n_max, the first of canonical_colorings(n, lam, order)
+    that fails, stopping after the first level where none fails.  Returns
     (ThresholdResult, {n: first failing coloring or None})."""
     m = query.m
     failing = {}
     prev = Coloring(m - 1, lam, (0,) * ((m - 1) * (m - 2) // 2))
     for n in range(m, n_max + 1):
-        failing[n] = next((c for c in canonical_colorings(n, lam) if not decide(c, query).holds), None)
+        failing[n] = next(
+            (c for c in canonical_colorings(n, lam, order) if not decide(c, query).holds), None
+        )
         if failing[n] is None:
             return ThresholdResult(n, prev), failing
         prev = failing[n]

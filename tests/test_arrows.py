@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from connramsey.arrows import (
     _witness,
     palette_tuples,
 )
-from connramsey.core import Coloring, Palette, bits, palette_adjacency, palette_rows
+from connramsey.core import Coloring, Palette, bits, palette_adjacency, palette_rows, read_coloring
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from connramsey.wellconn import chain_of_length, wc_order_rows
 from oracles import (
@@ -34,16 +35,20 @@ from oracles import (
     _unpack,
     canonical_color_form,
     canonical_colorings,
+    colex_pairs,
     color,
     first_failures,
     has_monochromatic_m_set,
     hc_witness_bruteforce,
     hc_witness_sweep,
     kappa_connected_bruteforce,
+    lex_pairs,
     permute_colors,
     wc_path_exists,
     wc_witness_bruteforce,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def classical(c, m, kappa):
@@ -472,7 +477,7 @@ def test_pruned_scanner_matches_per_coloring_oracle(lam):
         for kappa in (1, 2):
             query = RelationQuery(mode, m, kappa, j)
             palettes = _maximal_palettes(lam, kappa)
-            want, failing = first_failures(query, lam, n_max)
+            want, failing = first_failures(query, lam, n_max, lex_pairs)
             assert drain(_scan_levels(query, lam, n_max, palettes)) == want
             for n, c in failing.items():
                 assert drain(_first_failure(query, n, lam, palettes)) == c
@@ -496,14 +501,37 @@ HEREDITARY = [(mode, m, j) for mode, m, j in RELATIONS if mode != "wc"]
 @pytest.mark.parametrize("lam", (1, 2, 3))
 def test_colex_search_matches_level_scanner(lam):
     # The walk in colex pair order extends each level's failing colorings
-    # to the next; it must return what the scanner finds level by level.
+    # to the next; its thresholds must be the scanner's, level by level.
+    # Above level m its extremal is the level's first failing canonical
+    # coloring in colex order, and at m the scanner's, in lexicographic
+    # order.  At three colors level 6 has 2.4 million canonical colorings,
+    # too many for decide one by one, so that row checks extremals up to
+    # n = 5.
     for mode, m, j in HEREDITARY:
         for kappa in (1, 2):
             query = RelationQuery(mode, m, kappa, j)
             palettes = _maximal_palettes(lam, kappa)
             for n_max in range(m, 7):
-                want = drain(_scan_levels(query, lam, n_max, palettes))
-                assert drain(_colex_search(query, lam, n_max, palettes)) == want
+                res = drain(_colex_search(query, lam, n_max, palettes))
+                assert res.threshold == drain(_scan_levels(query, lam, n_max, palettes)).threshold
+                if lam == 3 and n_max == 6:
+                    continue
+                n = res.extremal.n
+                order = colex_pairs if n > m else lex_pairs
+                want, failing = first_failures(query, lam, n_max, order)
+                assert res.extremal == (failing[n] if n >= m else want.extremal)
+
+
+@pytest.mark.parametrize("m, j, kappa", ((5, 1, 1), (5, 3, 2)))
+def test_exhausted_cell_reports_the_colex_least_failure(m, j, kappa):
+    # With three colors these cells fail on 6 vertices.  The extremal is
+    # the first failing canonical coloring in colex pair order, which is
+    # not the scanner's first one in lexicographic order.
+    query = RelationQuery("hc", m, kappa, j)
+    res = ramsey_number("hc", m, 3, kappa, 6, j=j)
+    assert res.threshold is None
+    assert res.extremal == first_failures(query, 3, 6, colex_pairs)[1][6]
+    assert res.extremal != drain(_first_failure(query, 6, 3, _maximal_palettes(3, kappa)))
 
 
 @pytest.mark.parametrize("lam", (1, 2, 3))
@@ -529,19 +557,48 @@ def test_colex_search_checks_level_m_first():
     assert steps <= 1311
 
 
-def test_colex_walk_colors_11_vertices_without_an_hc_6_3_witness():
-    # The walk over the pairs of 11 vertices in colex order stops at its
-    # first leaf without a witness, a failing coloring on 11 vertices, so
-    # hc m=6 j=3 with two colors has threshold at least 12.  The oracle
-    # shares no code with the walk's witness search.
-    query = RelationQuery("hc", 6, 1, 3)
-    colex = [(a, b) for b in range(1, 11) for a in range(b)]
-    res, steps, _ = drain_counting(arrows._walk(query, 2, colex, _maximal_palettes(2, 1), 6))
-    assert len(res) == len(colex) and steps <= 17681
-    color = dict(zip(colex, res))
-    c = Coloring(11, 2, tuple(color[p] for p in combinations(range(11), 2)))
-    assert not decide(c, query).holds
-    assert hc_witness_bruteforce(c, 6, 1, 3)[1] is None
+@pytest.mark.parametrize("m, j, n_max", ((5, 3, 14), (6, 3, 11)))
+def test_ramsey_proves_an_hc_bound_above_n_max(m, j, n_max):
+    # The walk colors every pair of n_max vertices without a witness, so
+    # with two colors hc m=5 j=3 has threshold at least 15 and hc m=6 j=3
+    # at least 12.  The oracle shares no code with the walk's witness
+    # search.
+    res = ramsey_number("hc", m, 2, 1, n_max, j=j, time_limit=60)
+    assert res.threshold is None and res.extremal.n == n_max
+    assert not decide(res.extremal, RelationQuery("hc", m, 1, j)).holds
+    assert hc_witness_bruteforce(res.extremal, m, 1, j)[1] is None
+
+
+def test_hc_6_4_fails_on_the_19_vertex_extremal():
+    # ramsey --mode hc --m 6 --j 4 --colors 2 --palette-size 1 --max-n 19
+    # prints this coloring (in about 23 s), so the threshold is at least 20.
+    c = read_coloring((DATA / "hc_m6_j4_n19.col").read_text())
+    assert c.n == 19
+    assert not decide(c, RelationQuery("hc", 6, 1, 4)).holds
+    assert hc_witness_bruteforce(c, 6, 1, 4)[1] is None
+
+
+def test_walk_takes_each_block_when_it_first_reaches_it():
+    # Classical m=3 with two colors fails on 5 vertices and holds on 6, so
+    # a walk offered the pairs of up to 50 vertices takes the blocks of
+    # vertices 1..5 and no more.
+    taken = []
+
+    def blocks():
+        for b in range(1, 50):
+            taken.append(b)
+            yield [(a, b) for a in range(b)]
+
+    query = RelationQuery("classical", 3, 1)
+    assert drain(arrows._walk(query, 2, blocks(), _maximal_palettes(2, 1), 3))
+    assert taken == [1, 2, 3, 4, 5]
+
+
+def test_time_limit_holds_before_the_walk_reaches_n_max():
+    # The walk takes the pairs of each new vertex the first time it reaches
+    # it, so an n_max far above the threshold costs neither time nor memory.
+    res = ramsey_number("classical", 3, 2, 1, 2000, time_limit=0.5)
+    assert res.threshold == 6
 
 
 def is_witness(c, query, pal, X):
