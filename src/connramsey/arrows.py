@@ -11,9 +11,16 @@ most m - 1 - j others: the search grows X lexicographically, prunes with
 that allowance and with j-core peeling, and runs the connectivity kernel
 only on full m-sets.  At j = m - 2 it runs it on none: with allowance 1
 two non-adjacent members share the other m - 2 = j as neighbors, which
-are j disjoint two-edge paths.  wc asks for a size-m chain of the
-well-connectedness order under some palette, and its certificate carries
-one search-tree path per pair.
+are j disjoint two-edge paths.  Both searches also bound the set by a
+greedy vertex coloring into independent sets, made once per search and
+only after it has failed as many subtrees as there are vertices to
+color.  A clique takes at most one vertex from each class, and a set
+whose members each miss at most m - 1 - j others takes at most m - j
+from each, so a node whose classes cannot add up to m is given up.  A
+bound only cuts subtrees without a witness, so the least witness, the
+palette log and every output byte are those of the search without it.
+wc asks for a size-m chain of the well-connectedness order under some
+palette, and its certificate carries one search-tree path per pair.
 
 Searches are deterministic: palettes are enumerated in lexicographic
 order of their ascending member tuples, vertex sets in lexicographic
@@ -124,10 +131,64 @@ def palette_tuples(lam: int, kappa: int):
             stack.extend(pal + (x,) for x in range(lam - 1, pal[-1], -1))
 
 
+def _independent_classes(adj, mask: int) -> list[int]:
+    """A greedy vertex coloring of the vertex mask: each class takes, in
+    ascending order, every vertex left that has no neighbor in it, so
+    every class is an independent set of adj."""
+    classes = []
+    while mask:
+        cls = 0
+        free = mask
+        while free:
+            low = free & -free
+            cls |= low
+            free &= ~adj[low.bit_length() - 1] ^ low
+        mask ^= cls
+        classes.append(cls)
+    return classes
+
+
+def _class_bound(state: list, adj, S: int, cap: int) -> int:
+    """An upper bound on the vertices of the mask S in a set that meets
+    each independent set of adj in at most cap vertices.
+
+    state is [failures left, vertex mask, classes]: a search makes it as
+    [n, mask, None], counts its failed subtrees down from n and then asks
+    for the bound after each one.  The first call colors the mask
+    (_independent_classes) and keeps the classes of more than cap
+    vertices, since S can fill every other class.  The bound is |S| less,
+    over the kept classes, the vertices of S beyond cap in each.  With no
+    class kept it is always |S|, so the search is told never to ask again.
+    """
+    classes = state[2]
+    if classes is None:
+        classes = state[2] = [cls for cls in _independent_classes(adj, state[1]) if cls.bit_count() > cap]
+        if not classes:
+            state[0] = math.inf
+    bound = S.bit_count()
+    for cls in classes:
+        over = (S & cls).bit_count() - cap
+        if over > 0:
+            bound -= over
+    return bound
+
+
 def _find_clique(adj, X: int, cands: int, m: int) -> int:
     """Mask of the lexicographically least m-set that contains the clique
     X, takes its other members from the mask `cands` (each adjacent to
-    every member of X) and whose pairs are all adjacent in `adj`, or 0."""
+    every member of X) and whose pairs are all adjacent in `adj`, or 0.
+
+    A clique takes at most one vertex from each independent set.  So
+    after a failed subtree, a node that needs more than two vertices gives
+    up once fewer classes than it needs meet its candidates.  The classes
+    are a greedy coloring of the first node's candidates, which
+    _class_bound makes once, after as many failed subtrees as there are
+    candidates.  The bound cuts only subtrees without a witness, so the
+    branching order and the least witness are unchanged.  A search that
+    takes its first branches to a witness, or that needs at most two more
+    vertices, never colors.
+    """
+    state = [cands.bit_count(), cands, None] if m - X.bit_count() > 2 else None
 
     def grow(X: int, cands: int, need: int) -> int:
         if need == 0:
@@ -138,6 +199,10 @@ def _find_clique(adj, X: int, cands: int, m: int) -> int:
             hit = grow(X | low, cands & adj[low.bit_length() - 1], need - 1)
             if hit:
                 return hit
+            if need > 2:
+                state[0] -= 1
+                if state[0] < 0 and _class_bound(state, adj, cands, 1) < need:
+                    return 0
         return 0
 
     return grow(X, cands, m - X.bit_count())
@@ -160,8 +225,18 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     has the other j members as common neighbors, and by Menger's theorem
     the set is j-connected.  That needs a seed of at most two vertices,
     as the scanner's are.
+
+    The allowance also bounds the set's size.  An independent set inside
+    it misses its other members, so it has at most m - j vertices, and the
+    set meets each class of a vertex coloring in at most m - j.  The
+    classes color X and the candidates of the first node, and are made
+    as in _find_clique.  So after a failed subtree, a node that needs more
+    than two vertices gives up once min(|class & (X | cands)|, m - j),
+    summed over the classes, is below m.  Counting X in its classes makes
+    that no weaker than |X| plus the capped counts of the candidates alone.
     """
     budget = m - 1 - j
+    state = [(X | cands).bit_count(), X | cands, None] if m - X.bit_count() > 2 else None
 
     def grow(X: int, cands: int, need: int) -> int:
         rest = X
@@ -209,6 +284,10 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
             hit = grow(X | low, cands, need - 1)
             if hit:
                 return hit
+            if need > 2:
+                state[0] -= 1
+                if state[0] < 0 and _class_bound(state, adj, X | cands, budget + 1) < m:
+                    return 0
         return 0
 
     return grow(X, cands, m - X.bit_count())

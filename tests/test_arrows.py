@@ -25,6 +25,7 @@ from connramsey.arrows import (
     _witness,
     palette_tuples,
 )
+from connramsey.connectivity import kappa_connected_mask
 from connramsey.core import Coloring, Palette, bits, palette_adjacency, palette_rows, read_coloring
 from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
 from connramsey.wellconn import chain_of_length, wc_order_rows
@@ -909,3 +910,166 @@ def test_allowance_two_still_reaches_the_kernel(monkeypatch):
         rows[b] |= 1 << a
     assert _witness(RelationQuery("hc", 6, 1, 3), rows) == 0
     assert calls
+
+
+def random_rows(rng, n, p):
+    """Adjacency rows of a random graph on n vertices with edge chance p."""
+    rows = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rng.random() < p:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+def test_color_classes_bound_cliques_and_s_plexes():
+    # By brute force on random graphs with at most 10 vertices: the greedy
+    # classes are independent sets that partition the vertices, there are
+    # at least as many as the clique number, and min(|class|, budget + 1)
+    # summed over the classes is at least the largest set whose members
+    # each miss at most `budget` others (budget 0 is a clique).
+    rng = random.Random(23)
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        rows = random_rows(rng, n, rng.random())
+        full = (1 << n) - 1
+        classes = arrows._independent_classes(rows, full)
+        assert sum(classes) == full
+        assert all(not cls & rows[v] for cls in classes for v in bits(cls))
+        # largest[b]: the most vertices in a set whose members each miss
+        # at most b of the others.
+        largest = [0] * n
+        for mask in range(1, full + 1):
+            worst = max((mask & ~rows[v]).bit_count() - 1 for v in bits(mask))
+            largest[worst] = max(largest[worst], mask.bit_count())
+        for budget in range(1, n):
+            largest[budget] = max(largest[budget], largest[budget - 1])
+        assert len(classes) >= largest[0]
+        for budget in range(n):
+            assert sum(min(cls.bit_count(), budget + 1) for cls in classes) >= largest[budget]
+
+
+def test_class_bound_colors_once(monkeypatch):
+    # The first call colors the state's mask; every call then sums the
+    # classes, each counted up to the cap.  When no class exceeds the cap,
+    # the bound is the count itself and the search is told to stop asking.
+    colored = []
+    classes = arrows._independent_classes
+    monkeypatch.setattr(arrows, "_independent_classes", lambda *a: colored.append(a) or classes(*a))
+    rows = random_rows(random.Random(3), 8, 0.5)
+    state = [-1, 0b11111111, None]
+    for S in (0b1111, 0b10110101, 0):
+        want = sum(min((S & cls).bit_count(), 2) for cls in classes(rows, 0b11111111))
+        assert arrows._class_bound(state, rows, S, 2) == want
+    assert colored == [(rows, 0b11111111)]
+    assert state[0] == -1
+    state = [-1, 0b11111111, None]
+    assert arrows._class_bound(state, rows, 0b10110101, 8) == 5
+    assert state[0] > 1 << 64
+
+
+def sweep_summary(c, m, kappa, j):
+    """summary()'s shape from the subset sweep over decide's palettes."""
+    palettes = [Palette(frozenset(p)) for p in palette_tuples(c.lam, kappa)]
+    hit = hc_witness_sweep(c, m, j, palettes)
+    if hit is None:
+        return None, tuple(p.sorted_members for p in palettes)
+    return hit[0].sorted_members, hit[1]
+
+
+# (coloring, whether some search on it runs long enough to color): the
+# constant colorings and the smallest ones finish before that.
+BOUNDED_CASES = [
+    pytest.param(delta_coloring(3), True, id="delta3"),
+    pytest.param(delta_coloring(4), True, id="delta4"),
+    pytest.param(hub_coloring(3, 3), False, id="hub33"),
+    pytest.param(hub_coloring(4, 4), True, id="hub44"),
+    pytest.param(constant_coloring(8, 0, 1), False, id="constant8-l1"),
+    pytest.param(constant_coloring(8, 1, 3), False, id="constant8-l3"),
+    pytest.param(random_coloring(8, 2, seed=0), False, id="random8-l2"),
+    pytest.param(random_coloring(9, 2, seed=1), True, id="random9-l2"),
+    pytest.param(random_coloring(10, 3, seed=2), True, id="random10-l3"),
+    pytest.param(random_coloring(11, 2, seed=3), True, id="random11-l2"),
+]
+
+
+@pytest.mark.parametrize("c, colors", BOUNDED_CASES)
+def test_bounded_decide_matches_the_oracles(c, colors, monkeypatch):
+    # For every m up to 6, every j and kappa <= 2, decide (with the
+    # coloring bounds) gives the subset sweep's verdict, least X and
+    # palette log, and the removal enumerator's on at most 8 vertices.
+    colored = []
+    classes = arrows._independent_classes
+    monkeypatch.setattr(arrows, "_independent_classes", lambda *a: colored.append(a) or classes(*a))
+    for m in range(3, min(c.n, 6) + 1):
+        for j in range(1, m + 1):
+            for kappa in (1, 2):
+                got = summary(hc(c, m, kappa, j))
+                assert got == sweep_summary(c, m, kappa, j)
+                if c.n <= 8:
+                    assert got == oracle_summary(*hc_witness_bruteforce(c, m, kappa, j))
+    assert bool(colored) == colors
+
+
+def test_searches_needing_two_more_vertices_never_color(monkeypatch):
+    # The walk seeds every search with a pair, so at m <= 4 each one needs
+    # at most two more vertices and must not pay for a coloring.
+    def color(*args):
+        raise AssertionError("a search needing at most two more vertices colored")
+
+    monkeypatch.setattr(arrows, "_independent_classes", color)
+    assert ramsey_number("hc", 4, 2, 1, 7, j=2).threshold == 6
+    assert ramsey_number("classical", 3, 2, 1, 6).threshold == 6
+    assert ramsey_number("hc", 4, 2, 1, 7, j=3).threshold is None
+    assert ramsey_number("hc", 3, 3, 2, 6, j=2).threshold == 5
+
+
+def test_connected_search_keeps_witnesses_that_fill_their_classes():
+    # A complete multipartite graph with parts of budget + 1 vertices is
+    # (m - 1 - budget)-connected, and each of its members misses exactly
+    # `budget` others, all in its own part: the greedy classes hold whole
+    # parts, so the bound is tight and must count budget + 1 per class.
+    # Random vertices around it make the search fail subtrees first.
+    rng = random.Random(29)
+    tight = 0
+    for _ in range(150):
+        budget = rng.randint(1, 2)
+        parts = rng.randint(2, 3)
+        m = parts * (budget + 1)
+        n = m + rng.randint(2, 5)
+        members = sorted(rng.sample(range(n), m))
+        part = {v: i % parts for i, v in enumerate(members)}
+        rows = random_rows(rng, n, rng.random() / 2)
+        for a, b in combinations(members, 2):
+            if part[a] == part[b]:
+                rows[a] &= ~(1 << b)
+                rows[b] &= ~(1 << a)
+            else:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        j = m - 1 - budget
+        full = (1 << n) - 1
+        want = next((X for X in map(sum, combinations([1 << v for v in range(n)], m)) if kappa_connected_mask(X, rows, j)), 0)
+        assert want
+        assert arrows._find_connected(rows, 0, full, m, j) == want
+        tight += want == sum(1 << v for v in members)
+    assert tight
+
+
+def test_clique_search_keeps_cliques_with_one_vertex_per_class():
+    # A complete bipartite graph on the low vertices has no triangle but
+    # makes the search fail subtrees until it colors; a complete
+    # m-partite graph with parts of two on the high vertices then meets
+    # exactly m classes, all of which its least m-clique needs.
+    for side in (4, 5, 6):
+        for m in (3, 4):
+            n = 2 * side + 2 * m
+            rows = [0] * n
+            for a, b in combinations(range(n), 2):
+                if (a < side <= b < 2 * side) or (2 * side <= a and (a - b) % m):
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            want = next(sum(1 << v for v in X) for X in combinations(range(n), m)
+                        if all(rows[a] >> b & 1 for a, b in combinations(X, 2)))
+            assert want == sum(1 << v for v in range(2 * side, 2 * side + m))
+            assert arrows._find_clique(rows, 0, (1 << n) - 1, m) == want

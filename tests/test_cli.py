@@ -706,6 +706,45 @@ def test_decide_hc_delta5_finishes(tmp_path):
     )
 
 
+# Failing decides that the coloring bounds of the witness searches settle:
+# every κ-color palette graph of delta(L) is properly colored by the κ
+# bits at its palette's positions, so it has no clique on 2^κ + 1
+# vertices, and in hub(8, 8) no palette graph holds 10 vertices that
+# each miss at most 3 of the others.  Their outputs are the bytes of the
+# unbounded search, which exhausted every m-set.
+FAILING_DECIDES = [
+    (
+        ("delta", "--len", "6"),
+        ("--mode", "classical", "--m", "9", "--palette-size", "3"),
+        '{"exhausted_palettes":[[0],[0,1],[0,1,2],[0,1,3],[0,1,4],[0,1,5],[0,2],[0,2,3],'
+        "[0,2,4],[0,2,5],[0,3],[0,3,4],[0,3,5],[0,4],[0,4,5],[0,5],[1],[1,2],[1,2,3],"
+        "[1,2,4],[1,2,5],[1,3],[1,3,4],[1,3,5],[1,4],[1,4,5],[1,5],[2],[2,3],[2,3,4],"
+        "[2,3,5],[2,4],[2,4,5],[2,5],[3],[3,4],[3,4,5],[3,5],[4],[4,5],[5]],"
+        '"m":9,"mode":"classical","palette_size":3,"verdict":"fails"}\n',
+    ),
+    (
+        ("delta", "--len", "7"),
+        ("--mode", "classical", "--m", "5", "--palette-size", "2"),
+        '{"exhausted_palettes":[[0],[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[1],[1,2],[1,3],'
+        "[1,4],[1,5],[1,6],[2],[2,3],[2,4],[2,5],[2,6],[3],[3,4],[3,5],[3,6],[4],[4,5],"
+        '[4,6],[5],[5,6],[6]],"m":5,"mode":"classical","palette_size":2,"verdict":"fails"}\n',
+    ),
+    (
+        ("hub", "--n0", "8", "--n1", "8"),
+        ("--mode", "hc", "--m", "10", "--j", "6", "--palette-size", "1"),
+        '{"exhausted_palettes":[[0],[1],[2],[3]],"m":10,"mode":"hc","palette_size":1,'
+        '"verdict":"fails"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("gen, query, stdout", FAILING_DECIDES, ids=["delta6-m9", "delta7-m5", "hub-m10"])
+def test_decide_exhausts_structured_colorings(tmp_path, capsys, gen, query, stdout):
+    col = str(tmp_path / "in.col")
+    assert run(capsys, "gen", *gen, "--out", col)[0] == 0
+    assert run(capsys, "decide", col, *query) == (1, stdout, "")
+
+
 def test_module_entry_point_runs_without_warnings():
     # The package must not import connramsey.cli itself, or runpy warns
     # that the module is already loaded before it runs it as __main__.
