@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations, product
 
 from .connectivity import kappa_connected_mask
@@ -86,9 +86,9 @@ from .core import (
     RelationQuery,
     WcCertificate,
     bits,
+    constant_coloring,
     palette_adjacency,
 )
-from .generators import constant_coloring
 from .wellconn import chain_of_length, wc_certificate, wc_order_rows
 
 
@@ -100,12 +100,13 @@ class ResourceCapExceeded(RuntimeError):
         self.reached = reached
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
+class DecisionOutcome(namedtuple("DecisionOutcome", "verdict certificate exhausted_palettes")):
     """Verdict plus either a re-verifiable witness or the palette log.
 
     verdict == "holds" exactly when a certificate is present.
     """
+
+    __slots__ = ()
 
     verdict: str
     certificate: WcCertificate | HcCertificate | None
@@ -356,8 +357,7 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
     return DecisionOutcome("fails", None, tuple(tried))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(namedtuple("ThresholdResult", "threshold extremal")):
     """Least n at which every coloring satisfies the relation, when that
     is at most n_max.
 
@@ -369,6 +369,8 @@ class ThresholdResult:
     the lexicographically least at level m; for wc the lexicographically
     least.
     """
+
+    __slots__ = ()
 
     threshold: int | None
     extremal: Coloring

@@ -41,12 +41,11 @@ from .core import (
     RelationQuery,
     certificate_from_json,
     certificate_to_json,
+    constant_coloring,
     encode_json,
     read_coloring,
     write_coloring,
 )
-from .generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
-from .ordinals import coloring_from_csystem, ord_print, sample_universe
 from .verify import verify_certificate
 from .wellconn import is_wc_set
 
@@ -81,6 +80,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_gen(args) -> int:
+    # Only gen loads the generators, and only gen csystem the ordinal
+    # sampler, so no other command pays for importing them.
+    from .generators import delta_coloring, hub_coloring, random_coloring
+
     meta: dict = {"kind": args.kind, "out": args.out}
     if args.kind == "delta":
         col = delta_coloring(args.len)
@@ -95,6 +98,8 @@ def cmd_gen(args) -> int:
         col = hub_coloring(args.n0, args.n1)
         meta["n0"], meta["n1"] = args.n0, args.n1
     else:  # csystem
+        from .ordinals import coloring_from_csystem, ord_print, sample_universe
+
         universe = sample_universe(args.dim, args.coeff_max, args.size, args.seed)
         col = coloring_from_csystem(universe)
         meta["seed"] = args.seed

@@ -9,13 +9,21 @@ keeps exhaustive palette enumeration straightforward.
 
 Everything in this module is immutable after construction and safe to
 share between concurrent tasks.
+
+The records (Coloring, Palette, RelationQuery and the two certificates)
+are named tuples: immutable, with no __dict__, compared and hashed by
+value.  Coloring, Palette and RelationQuery validate their fields in
+__new__.  Being tuples, records iterate over their fields and equal the
+plain tuple of them.  The named-tuple helpers _make and _replace build
+an instance without calling __new__, so they skip that validation; no
+code in src, tests or scripts calls them.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations, compress
 
 
@@ -38,8 +46,7 @@ def all_pairs(n: int):
     return combinations(range(n), 2)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "n lam colors")):
     """A total symmetric edge-coloring of the complete graph on {0..n-1}.
 
     colors[k] is the color of the k-th pair in lexicographic order
@@ -47,22 +54,30 @@ class Coloring:
     the ordered representative a < b is stored.
     """
 
+    __slots__ = ()
+
     n: int
     lam: int
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        check_color_count(self.lam)
-        want = self.n * (self.n - 1) // 2
-        if len(self.colors) != want:
-            raise ValueError(
-                f"expected {want} pair colors for n={self.n}, got {len(self.colors)}"
-            )
-        if self.colors and not (0 <= min(self.colors) and max(self.colors) < self.lam):
-            x = next(x for x in self.colors if not 0 <= x < self.lam)
-            raise ValueError(f"color {x} out of range 0..{self.lam - 1}")
+    def __new__(cls, n: int, lam: int, colors: tuple[int, ...]):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        check_color_count(lam)
+        want = n * (n - 1) // 2
+        if len(colors) != want:
+            raise ValueError(f"expected {want} pair colors for n={n}, got {len(colors)}")
+        if colors and not (0 <= min(colors) and max(colors) < lam):
+            x = next(x for x in colors if not 0 <= x < lam)
+            raise ValueError(f"color {x} out of range 0..{lam - 1}")
+        return super().__new__(cls, n, lam, colors)
+
+
+def constant_coloring(n: int, color: int, lam: int) -> Coloring:
+    check_color_count(lam)
+    if not 0 <= color < lam:
+        raise ValueError(f"color {color} out of range 0..{lam - 1}")
+    return Coloring(n, lam, (color,) * (n * (n - 1) // 2))
 
 
 def make_coloring(n: int, lam: int, entries) -> Coloring:
@@ -222,58 +237,62 @@ def read_coloring(text: str) -> Coloring:
         raise FormatError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class Palette:
+class Palette(namedtuple("Palette", "members")):
     """A set of colors."""
+
+    __slots__ = ()
 
     members: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for x in self.members:
+    def __new__(cls, members):
+        members = frozenset(members)
+        for x in members:
             if x < 0:
                 raise ValueError(f"negative color {x}")
+        return super().__new__(cls, members)
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
 
-@dataclass(frozen=True)
-class RelationQuery:
+class RelationQuery(namedtuple("RelationQuery", "mode m kappa j")):
     """One partition-relation instance: mode, target size m, palette
     budget kappa, and for hc mode the connectivity demand j (j = m is the
     highly connected reading)."""
 
+    __slots__ = ()
+
     mode: str
     m: int
     kappa: int
-    j: int | None = None
+    j: int | None
 
-    def __post_init__(self):
-        if self.mode not in ("classical", "hc", "wc"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.m < 2:
+    def __new__(cls, mode: str, m: int, kappa: int, j: int | None = None):
+        if mode not in ("classical", "hc", "wc"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if m < 2:
             raise ValueError("need m >= 2")
-        if self.kappa < 1:
+        if kappa < 1:
             raise ValueError("need kappa >= 1")
-        if self.mode == "hc":
-            j = self.m if self.j is None else self.j
-            if not 1 <= j <= self.m:
+        if mode == "hc":
+            j = m if j is None else j
+            if not 1 <= j <= m:
                 raise ValueError("need 1 <= j <= m")
-            object.__setattr__(self, "j", j)
-        elif self.j is not None:
+        elif j is not None:
             raise ValueError("j applies to hc mode only")
+        return super().__new__(cls, mode, m, kappa, j)
 
 
-@dataclass(frozen=True)
-class WcCertificate:
+class WcCertificate(namedtuple("WcCertificate", "n lam X palette paths")):
     """Witness that X is well-connected in the palette: one path per pair.
 
     Each path starts at the smaller endpoint, ends at the larger, visits
     pairwise distinct vertices all at or above the smaller endpoint, and
     uses only palette-colored edges.
     """
+
+    __slots__ = ()
 
     n: int
     lam: int
@@ -282,10 +301,11 @@ class WcCertificate:
     paths: dict[tuple[int, int], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class HcCertificate:
+class HcCertificate(namedtuple("HcCertificate", "n lam X palette E j")):
     """Witness of a j-connected subgraph (X, E) whose edge colors lie in
     the palette."""
+
+    __slots__ = ()
 
     n: int
     lam: int

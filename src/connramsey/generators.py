@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import random
 
+from . import core
 from .core import Coloring, all_pairs, check_color_count
+
+# The deciders need the constant coloring without loading this module, so
+# it lives in core; it is still importable from here.
+constant_coloring = core.constant_coloring
 
 
 def first_difference(u: int, v: int, ell: int) -> int:
@@ -34,13 +39,6 @@ def delta_coloring(ell: int) -> Coloring:
         raise ValueError("need ell >= 1")
     n = 1 << ell
     return Coloring(n, ell, tuple(first_difference(a, b, ell) for a, b in all_pairs(n)))
-
-
-def constant_coloring(n: int, color: int, lam: int) -> Coloring:
-    check_color_count(lam)
-    if not 0 <= color < lam:
-        raise ValueError(f"color {color} out of range 0..{lam - 1}")
-    return Coloring(n, lam, (color,) * (n * (n - 1) // 2))
 
 
 def random_coloring(n: int, lam: int, seed: int = 0) -> Coloring:

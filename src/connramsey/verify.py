@@ -108,11 +108,14 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
     for x in allowed:
         if not 0 <= x < cert.lam:
             return f"palette color {x} out of range"
-    colors = coloring.colors
+    # Fields read in the loops below are bound once: a local is read
+    # faster than a named-tuple field.
+    n, colors = cert.n, coloring.colors
     if isinstance(cert, WcCertificate):
         pairs = list(combinations(cert.X, 2))  # lexicographic, as X ascends
+        paths = cert.paths
         want = set(pairs)
-        have = set(cert.paths)
+        have = set(paths)
         missing = want - have
         if missing:
             return f"missing path for pair {min(missing)}"
@@ -120,18 +123,18 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
         if extra:
             return f"unexpected path key {min(extra)} outside the pairs of X"
         for a, b in pairs:
-            path = cert.paths[(a, b)]
+            path = paths[(a, b)]
             if len(path) < 2 or path[0] != a or path[-1] != b:
                 return f"path for ({a}, {b}) does not run from {a} to {b}"
             if len(set(path)) != len(path):
                 return f"path for ({a}, {b}) repeats a vertex"
             for v in path:
-                if not 0 <= v < cert.n:
+                if not 0 <= v < n:
                     return f"path for ({a}, {b}) leaves the vertex range"
                 if v < a:
                     return f"path for ({a}, {b}) dips below source: vertex {v} < {a}"
             for u, w in zip(path, path[1:]):
-                col = colors[pair_index(cert.n, u, w) if u < w else pair_index(cert.n, w, u)]
+                col = colors[pair_index(n, u, w) if u < w else pair_index(n, w, u)]
                 if col not in allowed:
                     return f"path edge ({u}, {w}) colored {col} outside the palette"
         return None
@@ -144,7 +147,7 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
                 return f"edge ({a}, {b}) must have a < b"
             if a not in nbrs or b not in nbrs:
                 return f"edge ({a}, {b}) leaves X"
-            col = colors[pair_index(cert.n, a, b)]
+            col = colors[pair_index(n, a, b)]
             if col not in allowed:
                 return f"edge ({a}, {b}) colored {col} outside the palette"
             nbrs[a].add(b)

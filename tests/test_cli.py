@@ -502,7 +502,7 @@ def test_input_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):
     def out_of_memory(ell):
         raise MemoryError
 
-    monkeypatch.setattr("connramsey.cli.delta_coloring", out_of_memory)
+    monkeypatch.setattr("connramsey.generators.delta_coloring", out_of_memory)
     out = tmp_path / "d.col"
     assert run(capsys, "gen", "delta", "--len", "30", "--out", str(out)) == (
         2, "", "error: out of memory\n"
@@ -757,13 +757,112 @@ def test_module_entry_point_runs_without_warnings():
     assert done.stdout.startswith("usage: connramsey")
 
 
-def test_verify_certificate_exported_lazily():
+LAZY_EXPORTS = {
+    "generators": ("delta_coloring", "hub_coloring", "random_coloring"),
+    "ordinals": (
+        "CnfOrdinal",
+        "CsystemReport",
+        "check_csystem_axioms",
+        "coloring_from_csystem",
+        "ord_print",
+        "sample_universe",
+    ),
+}
+
+
+def test_verify_certificate_exported_lazily(monkeypatch):
     from connramsey import cli
 
     assert connramsey.verify_certificate is cli.verify_certificate
     assert verify_certificate is cli.verify_certificate
+    lazy = {name: module for module, names in LAZY_EXPORTS.items() for name in names}
+    assert connramsey._LAZY == lazy
+    for name, module in lazy.items():
+        own = getattr(importlib.import_module(f"connramsey.{module}"), name)
+        # Forget the cached name, so that both lookups go through the hook.
+        monkeypatch.delitem(vars(connramsey), name, raising=False)
+        namespace = {}
+        exec(f"from connramsey import {name}", namespace)
+        assert namespace[name] is own
+        monkeypatch.delitem(vars(connramsey), name)
+        assert getattr(connramsey, name) is own
+        assert vars(connramsey)[name] is own  # cached on first use
+    namespace = {}
+    exec("from connramsey import *", namespace)
+    assert set(lazy) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         connramsey.no_such_name
+
+
+def fresh_stdout(code: str, *args: str) -> str:
+    """The stdout of code run in a new interpreter, which must exit 0
+    without printing to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+# Prints the package's loaded modules, then the modules that importing
+# the CLI and running {body} added.
+LOADED_MODULES = """
+import io, sys
+before = set(sys.modules)
+from connramsey import cli
+{body}
+sys.stdout = sys.__stdout__
+print(*sorted(m for m in sys.modules if m.startswith("connramsey")))
+print(*sorted(set(sys.modules) - before))
+"""
+
+DECIDE_THEN_VERIFY = """
+sys.stdout = io.StringIO()
+assert cli.main(["decide", sys.argv[1], "--mode", "wc", "--m", "3", "--palette-size", "1"]) == 0
+open(sys.argv[2], "w").write(sys.stdout.getvalue())
+assert cli.main(["verify", sys.argv[2], sys.argv[1]]) == 0
+"""
+
+RAMSEY = """
+sys.stdout = io.StringIO()
+argv = ["ramsey", "--mode", "classical", "--m", "3", "--colors", "2", "--palette-size", "1", "--max-n", "6"]
+assert cli.main(argv) == 0
+"""
+
+
+@pytest.mark.parametrize("body", ["", DECIDE_THEN_VERIFY, RAMSEY], ids=["import", "decide-verify", "ramsey"])
+def test_only_gen_loads_generators_and_ordinals(tmp_path, delta_file, body):
+    stdout = fresh_stdout(LOADED_MODULES.format(body=body), delta_file, str(tmp_path / "cert.json"))
+    package, added = (line.split() for line in stdout.splitlines())
+    assert package == [
+        "connramsey",
+        "connramsey.arrows",
+        "connramsey.cli",
+        "connramsey.connectivity",
+        "connramsey.core",
+        "connramsey.verify",
+        "connramsey.wellconn",
+    ]
+    assert "dataclasses" not in added and "inspect" not in added
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["random", "--n", "6", "--colors", "3", "--seed", "5"], lambda: random_coloring(6, 3, seed=5)),
+        (
+            ["csystem", "--dim", "2", "--coeff-max", "3", "--size", "6", "--seed", "0"],
+            lambda: connramsey.coloring_from_csystem(connramsey.sample_universe(2, 3, 6, 0)),
+        ),
+    ],
+    ids=["random", "csystem"],
+)
+def test_gen_runs_in_a_fresh_process(tmp_path, argv, expected):
+    out = tmp_path / "gen.col"
+    code, stdout = fresh_process(["gen", *argv, "--out", str(out)])
+    assert code == 0 and json.loads(stdout)["kind"] == argv[0]
+    assert read_coloring(out.read_text()) == expected()
 
 
 @pytest.mark.parametrize("columns", ["50", "120"])

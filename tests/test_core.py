@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from connramsey import (
     Coloring,
+    DecisionOutcome,
     FormatError,
     HcCertificate,
     Palette,
     RelationQuery,
+    ThresholdResult,
     WcCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -153,15 +155,102 @@ def test_read_coloring_bad_values():
 def test_relation_query_validation():
     q = RelationQuery("hc", 4, 1)
     assert q.j == 4  # defaults to m
-    RelationQuery("classical", 2, 1)
-    with pytest.raises(ValueError, match="mode"):
+    assert RelationQuery("classical", 2, 1).j is None
+    with pytest.raises(ValueError, match=r"^unknown mode 'nope'$"):
         RelationQuery("nope", 2, 1)
-    with pytest.raises(ValueError, match="m >= 2"):
+    with pytest.raises(ValueError, match=r"^need m >= 2$"):
         RelationQuery("wc", 1, 1)
-    with pytest.raises(ValueError, match="1 <= j <= m"):
-        RelationQuery("hc", 3, 1, j=4)
-    with pytest.raises(ValueError, match="hc mode only"):
+    with pytest.raises(ValueError, match=r"^need kappa >= 1$"):
+        RelationQuery("wc", 2, 0)
+    for j in (0, 4):
+        with pytest.raises(ValueError, match=r"^need 1 <= j <= m$"):
+            RelationQuery("hc", 3, 1, j=j)
+    with pytest.raises(ValueError, match=r"^j applies to hc mode only$"):
         RelationQuery("wc", 3, 1, j=2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Coloring(-1, 1, ()), "vertex count must be >= 0, got -1"),
+        (lambda: Coloring(2, 0, (0,)), "color count must be >= 1, got 0"),
+        (lambda: Coloring(2, 2, ()), "expected 1 pair colors for n=2, got 0"),
+        (lambda: Coloring(3, 2, (0, 2, 1)), "color 2 out of range 0..1"),
+        (lambda: Coloring(3, 2, (0, -1, 1)), "color -1 out of range 0..1"),
+        (lambda: Palette([0, -1]), "negative color -1"),
+    ],
+)
+def test_coloring_and_palette_validation_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+PAL = Palette(frozenset({0}))
+
+# (record built twice by value, one that differs in a field, its repr)
+RECORDS = [
+    (
+        lambda: Coloring(2, 1, (0,)),
+        Coloring(2, 2, (1,)),
+        "Coloring(n=2, lam=1, colors=(0,))",
+    ),
+    (
+        lambda: Palette([1, 0]),
+        Palette([1]),
+        "Palette(members=frozenset({0, 1}))",
+    ),
+    (
+        lambda: RelationQuery("hc", 4, 1),
+        RelationQuery("hc", 4, 1, j=3),
+        "RelationQuery(mode='hc', m=4, kappa=1, j=4)",
+    ),
+    (
+        lambda: WcCertificate(2, 1, (0, 1), PAL, {(0, 1): (0, 1)}),
+        WcCertificate(2, 1, (0, 1), PAL, {}),
+        "WcCertificate(n=2, lam=1, X=(0, 1), palette=Palette(members=frozenset({0})), "
+        "paths={(0, 1): (0, 1)})",
+    ),
+    (
+        lambda: HcCertificate(2, 1, (0, 1), PAL, frozenset({(0, 1)}), 1),
+        HcCertificate(2, 1, (0, 1), PAL, frozenset(), 1),
+        "HcCertificate(n=2, lam=1, X=(0, 1), palette=Palette(members=frozenset({0})), "
+        "E=frozenset({(0, 1)}), j=1)",
+    ),
+    (
+        lambda: DecisionOutcome("fails", None, ((0,),)),
+        DecisionOutcome("fails", None, ((1,),)),
+        "DecisionOutcome(verdict='fails', certificate=None, exhausted_palettes=((0,),))",
+    ),
+    (
+        lambda: ThresholdResult(3, Coloring(2, 1, (0,))),
+        ThresholdResult(None, Coloring(2, 1, (0,))),
+        "ThresholdResult(threshold=3, extremal=Coloring(n=2, lam=1, colors=(0,)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=[text.split("(")[0] for _, _, text in RECORDS])
+def test_record_semantics(make, other, text):
+    record = make()
+    field = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    assert not hasattr(record, "__dict__")
+    assert record == make() and record != other
+    if isinstance(record, WcCertificate):
+        with pytest.raises(TypeError, match="unhashable"):  # paths is a dict
+            hash(record)
+    else:
+        assert hash(record) == hash(make())
+    assert repr(record) == text
+    # A record is a tuple of its fields, as the core docstring says.
+    assert record == tuple(getattr(record, f) for f in type(record)._fields)
+
+
+def test_record_constructors_normalise():
+    assert Palette([1, 0]).members == frozenset({0, 1})
+    assert RelationQuery(mode="wc", m=3, kappa=1) == RelationQuery("wc", 3, 1, None)
 
 
 def test_certificate_json_round_trip_wc():
