@@ -100,21 +100,18 @@ class ResourceCapExceeded(RuntimeError):
         self.reached = reached
 
 
-class DecisionOutcome(namedtuple("DecisionOutcome", "verdict certificate exhausted_palettes")):
-    """Verdict plus either a re-verifiable witness or the palette log.
-
-    verdict == "holds" exactly when a certificate is present.
-    """
+class DecisionOutcome(namedtuple("DecisionOutcome", "certificate exhausted_palettes")):
+    """Either a re-verifiable witness, when the relation holds, or the
+    palette log, when it fails."""
 
     __slots__ = ()
 
-    verdict: str
     certificate: WcCertificate | HcCertificate | None
     exhausted_palettes: tuple[tuple[int, ...], ...] | None
 
     @property
     def holds(self) -> bool:
-        return self.verdict == "holds"
+        return self.certificate is not None
 
 
 def palette_tuples(lam: int, kappa: int):
@@ -350,11 +347,11 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
         if query.mode == "wc":
             cert = wc_certificate(c.n, c.lam, X, palette, adj)
             assert cert is not None  # chain pairs are related by construction
-            return DecisionOutcome("holds", cert, None)
+            return DecisionOutcome(cert, None)
         edges = frozenset((a, b) for a, b in combinations(X, 2) if adj[a] >> b & 1)
         j = query.m if query.j is None else query.j
-        return DecisionOutcome("holds", HcCertificate(c.n, c.lam, X, palette, edges, j), None)
-    return DecisionOutcome("fails", None, tuple(tried))
+        return DecisionOutcome(HcCertificate(c.n, c.lam, X, palette, edges, j), None)
+    return DecisionOutcome(None, tuple(tried))
 
 
 class ThresholdResult(namedtuple("ThresholdResult", "threshold extremal")):

@@ -12,11 +12,12 @@ share between concurrent tasks.
 
 The records (Coloring, Palette, RelationQuery and the two certificates)
 are named tuples: immutable, with no __dict__, compared and hashed by
-value.  Coloring, Palette and RelationQuery validate their fields in
-__new__.  Being tuples, records iterate over their fields and equal the
-plain tuple of them.  The named-tuple helpers _make and _replace build
-an instance without calling __new__, so they skip that validation; no
-code in src, tests or scripts calls them.
+value, and storing no field that another one determines.  Coloring,
+Palette and RelationQuery validate their fields in __new__.  Being
+tuples, records iterate over their fields and equal the plain tuple of
+them.  The named-tuple helpers _make and _replace build an instance
+without calling __new__, so they skip that validation; no code in src,
+tests or scripts calls them.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ def pair_index(n: int, a: int, b: int) -> int:
 def check_color_count(lam: int) -> None:
     if lam < 1:
         raise ValueError(f"color count must be >= 1, got {lam}")
-
-
-def all_pairs(n: int):
-    """Pairs (a, b) with a < b < n in lexicographic order."""
-    return combinations(range(n), 2)
 
 
 class Coloring(namedtuple("Coloring", "n lam colors")):
@@ -105,25 +101,19 @@ def make_coloring(n: int, lam: int, entries) -> Coloring:
         if slots[k] is not None:
             raise ValueError(f"duplicate pair ({a}, {b})")
         slots[k] = col
-    for (a, b), col in zip(all_pairs(n), slots):
+    for (a, b), col in zip(combinations(range(n), 2), slots):
         if col is None:
             raise ValueError(f"missing pair ({a}, {b})")
     return Coloring(n, lam, tuple(slots))  # type: ignore[arg-type]
 
 
-def palette_rows(n: int, colors, members) -> list[int]:
-    """Neighbor bitmasks of the graph on 0..n-1 formed by the pairs whose
-    color, in the lexicographic pair colors `colors`, lies in `members`."""
-    adj = [0] * n
-    for a, b in compress(combinations(range(n), 2), map(members.__contains__, colors)):
+def palette_adjacency(c: Coloring, colors) -> list[int]:
+    """Neighbor bitmasks of the graph formed by pairs colored in `colors`."""
+    adj = [0] * c.n
+    for a, b in compress(combinations(range(c.n), 2), map(colors.__contains__, c.colors)):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
-
-
-def palette_adjacency(c: Coloring, colors) -> list[int]:
-    """Neighbor bitmasks of the graph formed by pairs colored in `colors`."""
-    return palette_rows(c.n, c.colors, colors)
 
 
 def bits(mask: int):
@@ -154,7 +144,7 @@ def write_coloring(c: Coloring) -> str:
     """Serialize: header `<n> <lambda>`, then one `<a> <b> <color>` line
     per pair in ascending lexicographic order."""
     lines = [f"{c.n} {c.lam}"]
-    for (a, b), col in zip(all_pairs(c.n), c.colors):
+    for (a, b), col in zip(combinations(range(c.n), 2), c.colors):
         lines.append(f"{a} {b} {col}")
     return "\n".join(lines) + "\n"
 
@@ -251,10 +241,6 @@ class Palette(namedtuple("Palette", "members")):
                 raise ValueError(f"negative color {x}")
         return super().__new__(cls, members)
 
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 class RelationQuery(namedtuple("RelationQuery", "mode m kappa j")):
     """One partition-relation instance: mode, target size m, palette
@@ -328,7 +314,7 @@ def certificate_to_json(cert) -> str:
             "n": cert.n,
             "lambda": cert.lam,
             "X": list(cert.X),
-            "Lambda": list(cert.palette.sorted_members),
+            "Lambda": sorted(cert.palette.members),
             "paths": {f"{a},{b}": list(p) for (a, b), p in cert.paths.items()},
         }
     elif isinstance(cert, HcCertificate):
@@ -337,7 +323,7 @@ def certificate_to_json(cert) -> str:
             "n": cert.n,
             "lambda": cert.lam,
             "X": list(cert.X),
-            "Lambda": list(cert.palette.sorted_members),
+            "Lambda": sorted(cert.palette.members),
             "E": sorted([a, b] for a, b in cert.E),
             "j": cert.j,
         }

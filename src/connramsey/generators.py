@@ -9,13 +9,9 @@ well-spread connected subgraph.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from . import core
-from .core import Coloring, all_pairs, check_color_count
-
-# The deciders need the constant coloring without loading this module, so
-# it lives in core; it is still importable from here.
-constant_coloring = core.constant_coloring
+from .core import Coloring, check_color_count
 
 
 def first_difference(u: int, v: int, ell: int) -> int:
@@ -38,7 +34,8 @@ def delta_coloring(ell: int) -> Coloring:
     if ell < 1:
         raise ValueError("need ell >= 1")
     n = 1 << ell
-    return Coloring(n, ell, tuple(first_difference(a, b, ell) for a, b in all_pairs(n)))
+    cols = tuple(first_difference(a, b, ell) for a, b in combinations(range(n), 2))
+    return Coloring(n, ell, cols)
 
 
 def random_coloring(n: int, lam: int, seed: int = 0) -> Coloring:
@@ -76,7 +73,7 @@ def hub_coloring(n0: int, n1: int) -> Coloring:
     bits = [(count - 1).bit_length() if count >= 2 else 0 for count in (n0, n1)]
     lam = 1 + max(bits)
     cols = []
-    for p, q in all_pairs(n0 + n1):
+    for p, q in combinations(range(n0 + n1), 2):
         cp, ip = slots[p]
         cq, iq = slots[q]
         if cp != cq:

@@ -4,6 +4,11 @@ An ordinal below omega^d is a descending tuple of (exponent, coefficient)
 terms with positive coefficients; the empty tuple is 0.  Comparison is
 lexicographic on the term tuples, which agrees with ordinal order.
 
+The records (CnfOrdinal, ClubInterval and CsystemReport) are named
+tuples, as in core: CnfOrdinal validates its terms in __new__, and an
+ordinal, being the one-field tuple of its terms, compares, equals and
+hashes as that tuple.
+
 The club attached to a limit ordinal alpha at index i is the final
 segment
 
@@ -28,35 +33,30 @@ omega^(i+1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import total_ordering
+from collections import namedtuple
 from itertools import combinations, product
 
 from .core import Coloring
 
 
-@total_ordering
-@dataclass(frozen=True)
-class CnfOrdinal:
+class CnfOrdinal(namedtuple("CnfOrdinal", "terms")):
     """Ordinal in Cantor normal form: descending (exponent, coefficient)
     terms; the empty tuple is 0."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((int(e), int(c)) for e, c in self.terms))
-        for k, (e, c) in enumerate(self.terms):
+    terms: tuple[tuple[int, int], ...]
+
+    def __new__(cls, terms=()):
+        terms = tuple((int(e), int(c)) for e, c in terms)
+        for k, (e, c) in enumerate(terms):
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
             if c < 1:
                 raise ValueError(f"coefficient {c} must be >= 1")
-            if k and self.terms[k - 1][0] <= e:
+            if k and terms[k - 1][0] <= e:
                 raise ValueError("exponents must be strictly descending")
-
-    def __lt__(self, other):
-        if not isinstance(other, CnfOrdinal):
-            return NotImplemented
-        return self.terms < other.terms
+        return super().__new__(cls, terms)
 
     @property
     def is_limit(self) -> bool:
@@ -141,9 +141,10 @@ def i_min(alpha: CnfOrdinal) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class ClubInterval:
+class ClubInterval(namedtuple("ClubInterval", "left top index")):
     """The final-segment club [left, top) attached to a limit ordinal."""
+
+    __slots__ = ()
 
     left: CnfOrdinal
     top: CnfOrdinal
@@ -223,12 +224,13 @@ def sample_universe(d: int, coeff_max: int, size: int, seed: int = 0) -> tuple[C
     return tuple(sorted(rng.sample(pool, size)))
 
 
-def coloring_from_csystem(universe, d: int | None = None) -> Coloring:
+def coloring_from_csystem(universe) -> Coloring:
     """Derived coloring of a finite ascending set of limit ordinals.
 
     Pair (i, j) receives derived_color(universe[i], universe[j]); vertex
-    order mirrors ordinal order.  The color count defaults to the
-    tightest exponent bound covering the universe.
+    order mirrors ordinal order.  The color count is the tightest
+    exponent bound covering the universe, one more than its largest
+    exponent.
     """
     uni = tuple(universe)
     for k, x in enumerate(uni):
@@ -236,25 +238,29 @@ def coloring_from_csystem(universe, d: int | None = None) -> Coloring:
             raise ValueError(f"universe member {x} is not a limit ordinal")
         if k and not uni[k - 1] < x:
             raise ValueError("universe must be strictly ascending")
-    top = max((x.max_exp for x in uni), default=0)
-    lam = (top + 1) if d is None else d
-    if lam <= top:
-        raise ValueError(f"bound {lam} too small for exponent {top}")
+    lam = max((x.max_exp for x in uni), default=0) + 1
     cols = tuple(derived_color(uni[i], uni[j]) for i, j in combinations(range(len(uni)), 2))
     return Coloring(len(uni), lam, cols)
 
 
-@dataclass(frozen=True)
-class CsystemReport:
-    """Outcome of the exhaustive club-system check."""
+class CsystemReport(
+    namedtuple("CsystemReport", "d coeff_max limits_checked clubs_checked pairs_checked first_violation")
+):
+    """Outcome of the exhaustive club-system check; ok when no clause
+    was violated."""
+
+    __slots__ = ()
 
     d: int
     coeff_max: int
-    ok: bool
     limits_checked: int
     clubs_checked: int
     pairs_checked: int
     first_violation: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_violation is None
 
 
 def check_csystem_axioms(d: int, coeff_max: int) -> CsystemReport:
@@ -277,35 +283,33 @@ def check_csystem_axioms(d: int, coeff_max: int) -> CsystemReport:
     clubs = 0
     pairs = 0
 
-    def report(ok: bool, violation: str | None) -> CsystemReport:
-        return CsystemReport(d, coeff_max, ok, len(limits), clubs, pairs, violation)
+    def report(violation: str | None) -> CsystemReport:
+        return CsystemReport(d, coeff_max, len(limits), clubs, pairs, violation)
 
     for alpha in limits:
         floor = i_min(alpha)
         if floor >= d:
-            return report(False, f"index floor {floor} of {alpha} is not below {d}")
+            return report(f"index floor {floor} of {alpha} is not below {d}")
         prev_left = None
         for i in range(floor, d):
             club = club_interval(alpha, i)
             clubs += 1
             if not club.left < alpha:
-                return report(False, f"C({alpha},{i}) is empty")
+                return report(f"C({alpha},{i}) is empty")
             for gamma in probes:
                 if not gamma < alpha:
                     continue
                 # Unbounded in alpha: some member lies above gamma.
                 witness = club.left if gamma < club.left else successor(gamma)
                 if not (witness in club and gamma < witness):
-                    return report(False, f"C({alpha},{i}) not unbounded past {gamma}")
+                    return report(f"C({alpha},{i}) not unbounded past {gamma}")
                 # Closed in alpha: limits of initial parts stay inside.
                 if gamma.is_limit and club.left < gamma and gamma not in club:
-                    return report(False, f"C({alpha},{i}) not closed at {gamma}")
+                    return report(f"C({alpha},{i}) not closed at {gamma}")
             if not club.order_type < omega_power(i + 1):
-                return report(
-                    False, f"otp(C({alpha},{i})) = {club.order_type} not below w^{i + 1}"
-                )
+                return report(f"otp(C({alpha},{i})) = {club.order_type} not below w^{i + 1}")
             if prev_left is not None and club.left > prev_left:
-                return report(False, f"C({alpha},{i - 1}) not contained in C({alpha},{i})")
+                return report(f"C({alpha},{i - 1}) not contained in C({alpha},{i})")
             prev_left = club.left
     for alpha, beta in combinations(limits, 2):
         pairs += 1
@@ -316,10 +320,10 @@ def check_csystem_axioms(d: int, coeff_max: int) -> CsystemReport:
             covered = True
             if i_min(alpha) > i:
                 return report(
-                    False, f"coherence: i({alpha}) > {i} though {alpha} accumulates in C({beta},{i})"
+                    f"coherence: i({alpha}) > {i} though {alpha} accumulates in C({beta},{i})"
                 )
             if blockfloor(alpha, i + 1) != blockfloor(beta, i + 1):
-                return report(False, f"coherence: C({alpha},{i}) != C({beta},{i}) below {alpha}")
+                return report(f"coherence: C({alpha},{i}) != C({beta},{i}) below {alpha}")
         if not covered:
-            return report(False, f"covering fails for {alpha} < {beta}")
-    return report(True, None)
+            return report(f"covering fails for {alpha} < {beta}")
+    return report(None)

@@ -61,11 +61,10 @@ from connramsey.core import (
     _as_int,
     _as_int_list,
     bits,
+    constant_coloring,
     pair_index,
     palette_adjacency,
-    palette_rows,
 )
-from connramsey.generators import constant_coloring
 from connramsey.ordinals import ZERO
 from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
 
@@ -531,7 +530,8 @@ def _top_verdicts(query: RelationQuery, n: int, lam: int, base, palettes):
     pair colors holds, and whether that ran a witness search.  Verdicts
     are memoised per (palette, top mask); see the module docstring."""
     last = n - 1
-    base_rows = [palette_rows(last, base, p.members) for p in palettes]
+    base_coloring = Coloring(last, lam, base)
+    base_rows = [palette_adjacency(base_coloring, p.members) for p in palettes]
     held: dict[tuple[int, int], bool] = {}
     for top in product(range(lam), repeat=last):
         by_color = [0] * lam

@@ -26,8 +26,8 @@ from connramsey.arrows import (
     palette_tuples,
 )
 from connramsey.connectivity import kappa_connected_mask
-from connramsey.core import Coloring, Palette, bits, palette_adjacency, palette_rows, read_coloring
-from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
+from connramsey.core import Coloring, Palette, bits, constant_coloring, palette_adjacency, read_coloring
+from connramsey.generators import delta_coloring, hub_coloring, random_coloring
 from connramsey.wellconn import chain_of_length, wc_order_rows
 from oracles import (
     Graph,
@@ -138,7 +138,7 @@ def summary(out):
     """(Lambda, X) of a holding decide outcome, (None, palette log) of a
     failing one."""
     if out.holds:
-        return out.certificate.palette.sorted_members, out.certificate.X
+        return tuple(sorted(out.certificate.palette.members)), out.certificate.X
     return None, out.exhausted_palettes
 
 
@@ -173,7 +173,7 @@ def test_decide_hc_hub_example():
     hub = hub_coloring(2, 2)
     out = hc(hub, 4, 1, 2)
     assert out.holds
-    assert out.certificate.palette.sorted_members == (0,)
+    assert out.certificate.palette.members == {0}
     assert out.certificate.E == frozenset({(0, 1), (0, 3), (1, 2), (2, 3)})
     assert not hc(delta_coloring(2), 4, 1, 4).holds
 
@@ -183,11 +183,11 @@ def test_decide_wc_examples():
     out = wc(d, 3, 1)
     assert out.holds
     assert out.certificate.X == (0, 1, 2)
-    assert out.certificate.palette.sorted_members == (0,)
+    assert out.certificate.palette.members == {0}
     assert not wc(d, 4, 1).holds
     held = wc(d, 4, 2)
     assert held.holds
-    assert held.certificate.palette.sorted_members == (0, 1)
+    assert held.certificate.palette.members == {0, 1}
     assert wc(constant_coloring(5, 0, 1), 5, 1).holds
 
 
@@ -613,7 +613,8 @@ def is_witness(c, query, pal, X):
 def test_witness_on_a_partial_coloring_survives_every_completion():
     # The scanner prunes a partial coloring, whose unassigned pairs lie in
     # no palette, as soon as a palette has a witness: every completion
-    # must keep that witness.
+    # must keep that witness.  Here the unassigned pairs take color lam,
+    # which no palette holds.
     rng = random.Random(13)
     hits = 0
     for _ in range(300):
@@ -627,9 +628,10 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
         colors = [rng.randrange(lam) for _ in range(npairs)]
         free = rng.sample(range(npairs), min(npairs, rng.randint(1, 4)))
         for k in free:
-            colors[k] = -1
+            colors[k] = lam
         for pal in _maximal_palettes(lam, kappa):
-            hit = tuple(bits(_witness(query, palette_rows(n, colors, pal.members))))
+            partial = Coloring(n, lam + 1, tuple(colors))
+            hit = tuple(bits(_witness(query, palette_adjacency(partial, pal.members))))
             if not hit:
                 continue
             hits += 1
@@ -640,7 +642,7 @@ def test_witness_on_a_partial_coloring_survives_every_completion():
                 assert is_witness(c, query, pal, hit)
                 assert decide(c, query).holds
             for k in free:
-                colors[k] = -1
+                colors[k] = lam
     assert hits >= 100
 
 
@@ -973,8 +975,8 @@ def sweep_summary(c, m, kappa, j):
     palettes = [Palette(frozenset(p)) for p in palette_tuples(c.lam, kappa)]
     hit = hc_witness_sweep(c, m, j, palettes)
     if hit is None:
-        return None, tuple(p.sorted_members for p in palettes)
-    return hit[0].sorted_members, hit[1]
+        return None, tuple(tuple(sorted(p.members)) for p in palettes)
+    return tuple(sorted(hit[0].members)), hit[1]
 
 
 # (coloring, whether some search on it runs long enough to color): the

@@ -29,7 +29,8 @@ from connramsey import (
     write_coloring,
 )
 from connramsey.cli import _form, _read_plain, _read_text, build_parser, main
-from connramsey.generators import constant_coloring, random_coloring
+from connramsey.core import constant_coloring
+from connramsey.generators import random_coloring
 from connramsey.wellconn import is_wc_set
 from oracles import make_graph, write_graph
 
@@ -831,11 +832,27 @@ assert cli.main(argv) == 0
 """
 
 
-@pytest.mark.parametrize("body", ["", DECIDE_THEN_VERIFY, RAMSEY], ids=["import", "decide-verify", "ramsey"])
-def test_only_gen_loads_generators_and_ordinals(tmp_path, delta_file, body):
-    stdout = fresh_stdout(LOADED_MODULES.format(body=body), delta_file, str(tmp_path / "cert.json"))
+GEN_CSYSTEM = """
+sys.stdout = io.StringIO()
+argv = ["gen", "csystem", "--dim", "3", "--coeff-max", "2", "--size", "14", "--seed", "1"]
+assert cli.main(argv + ["--out", sys.argv[2]]) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "body, gen_modules",
+    [
+        ("", []),
+        (DECIDE_THEN_VERIFY, []),
+        (RAMSEY, []),
+        (GEN_CSYSTEM, ["connramsey.generators", "connramsey.ordinals"]),
+    ],
+    ids=["import", "decide-verify", "ramsey", "gen-csystem"],
+)
+def test_only_gen_loads_generators_and_ordinals(tmp_path, delta_file, body, gen_modules):
+    stdout = fresh_stdout(LOADED_MODULES.format(body=body), delta_file, str(tmp_path / "out"))
     package, added = (line.split() for line in stdout.splitlines())
-    assert package == [
+    assert package == sorted([
         "connramsey",
         "connramsey.arrows",
         "connramsey.cli",
@@ -843,7 +860,10 @@ def test_only_gen_loads_generators_and_ordinals(tmp_path, delta_file, body):
         "connramsey.core",
         "connramsey.verify",
         "connramsey.wellconn",
-    ]
+        *gen_modules,
+    ])
+    # The records are named tuples, so no command, gen csystem included,
+    # loads the dataclass machinery.
     assert "dataclasses" not in added and "inspect" not in added
 
 

@@ -23,6 +23,14 @@ from connramsey import (
 )
 from connramsey.core import pair_index
 from connramsey.generators import random_coloring
+from connramsey.ordinals import (
+    ClubInterval,
+    CnfOrdinal,
+    CsystemReport,
+    check_csystem_axioms,
+    club_interval,
+    omega_power,
+)
 from oracles import canonical_color_form, color, permute_colors
 
 
@@ -178,6 +186,9 @@ def test_relation_query_validation():
         (lambda: Coloring(3, 2, (0, 2, 1)), "color 2 out of range 0..1"),
         (lambda: Coloring(3, 2, (0, -1, 1)), "color -1 out of range 0..1"),
         (lambda: Palette([0, -1]), "negative color -1"),
+        (lambda: CnfOrdinal(((1, 1), (-1, 1))), "negative exponent -1"),
+        (lambda: CnfOrdinal(((1, 0),)), "coefficient 0 must be >= 1"),
+        (lambda: CnfOrdinal(((1, 1), (1, 2))), "exponents must be strictly descending"),
     ],
 )
 def test_coloring_and_palette_validation_messages(make, message):
@@ -218,14 +229,30 @@ RECORDS = [
         "E=frozenset({(0, 1)}), j=1)",
     ),
     (
-        lambda: DecisionOutcome("fails", None, ((0,),)),
-        DecisionOutcome("fails", None, ((1,),)),
-        "DecisionOutcome(verdict='fails', certificate=None, exhausted_palettes=((0,),))",
+        lambda: DecisionOutcome(None, ((0,),)),
+        DecisionOutcome(None, ((1,),)),
+        "DecisionOutcome(certificate=None, exhausted_palettes=((0,),))",
     ),
     (
         lambda: ThresholdResult(3, Coloring(2, 1, (0,))),
         ThresholdResult(None, Coloring(2, 1, (0,))),
         "ThresholdResult(threshold=3, extremal=Coloring(n=2, lam=1, colors=(0,)))",
+    ),
+    (
+        lambda: CnfOrdinal(((2, 1), (1, 3))),
+        CnfOrdinal(((2, 1),)),
+        "CnfOrdinal(terms=((2, 1), (1, 3)))",
+    ),
+    (
+        lambda: club_interval(omega_power(2), 2),
+        ClubInterval(CnfOrdinal(), omega_power(2), 3),
+        "ClubInterval(left=CnfOrdinal(terms=()), top=CnfOrdinal(terms=((2, 1),)), index=2)",
+    ),
+    (
+        lambda: check_csystem_axioms(2, 4),
+        CsystemReport(2, 4, 4, 4, 6, "covering fails"),
+        "CsystemReport(d=2, coeff_max=4, limits_checked=4, clubs_checked=4, pairs_checked=6, "
+        "first_violation=None)",
     ),
 ]
 
@@ -251,6 +278,7 @@ def test_record_semantics(make, other, text):
 def test_record_constructors_normalise():
     assert Palette([1, 0]).members == frozenset({0, 1})
     assert RelationQuery(mode="wc", m=3, kappa=1) == RelationQuery("wc", 3, 1, None)
+    assert CnfOrdinal([[2, 1], [0, 4]]).terms == ((2, 1), (0, 4))
 
 
 def test_certificate_json_round_trip_wc():

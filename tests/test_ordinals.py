@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from connramsey.ordinals import (
     ZERO,
     CnfOrdinal,
+    CsystemReport,
     acc_member,
     block_tail,
     blockfloor,
@@ -67,6 +68,17 @@ def test_comparison_is_total_order(a, b, c):
     assert (a < b) + (b < a) + (a == b) == 1
     if a < b and b < c:
         assert a < c
+    # Order, equality and hash follow the terms.
+    assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+        a.terms < b.terms,
+        a.terms <= b.terms,
+        a.terms == b.terms,
+        a.terms != b.terms,
+        a.terms >= b.terms,
+        a.terms > b.terms,
+    )
+    same = CnfOrdinal(list(a.terms))
+    assert same == a and hash(same) == hash(a)
 
 
 def test_comparison_spot_cases():
@@ -200,14 +212,13 @@ def test_coloring_from_csystem_validation():
         coloring_from_csystem((W2, W))
     with pytest.raises(ValueError, match="limit"):
         coloring_from_csystem((from_int(4),))
-    with pytest.raises(ValueError, match="too small"):
-        coloring_from_csystem((W, W2), d=2)
 
 
 def test_csystem_axioms_pass():
     rep = check_csystem_axioms(2, 4)
     assert rep.ok and rep.first_violation is None
     assert rep.limits_checked == 4
+    assert not CsystemReport(*rep[:-1], "covering fails").ok
     rep = check_csystem_axioms(3, 3)
     assert rep.ok
     assert rep.limits_checked == len(enumerate_limits(2, 3))

@@ -11,7 +11,8 @@ from connramsey import (
     is_wc_set,
     make_coloring,
 )
-from connramsey.generators import constant_coloring, delta_coloring, hub_coloring, random_coloring
+from connramsey.core import constant_coloring
+from connramsey.generators import delta_coloring, hub_coloring, random_coloring
 from oracles import (
     color,
     longest_wc_set,
