@@ -20,7 +20,7 @@ from each, so a node whose classes cannot add up to m is given up.  A
 bound only cuts subtrees without a witness, so the least witness, the
 palette log and every output byte are those of the search without it.
 wc asks for a size-m chain of the well-connectedness order under some
-palette, and its certificate carries one search-tree path per pair.
+palette; its certificate carries one search-tree path per consecutive pair.
 
 Searches are deterministic: palettes are enumerated in lexicographic
 order of their ascending member tuples, vertex sets in lexicographic
@@ -331,7 +331,7 @@ def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:
 
     Classical and hc certificates are hc certificates whose E holds every
     palette-colored pair of X and whose j is m for classical.  wc
-    certificates carry one path per pair of X.
+    certificates carry one path per consecutive pair of X.
     """
     if query.m > c.n:
         raise ValueError(f"need 2 <= m <= n, got m={query.m}, n={c.n}")

@@ -271,7 +271,9 @@ class RelationQuery(namedtuple("RelationQuery", "mode m kappa j")):
 
 
 class WcCertificate(namedtuple("WcCertificate", "n lam X palette paths")):
-    """Witness that X is well-connected in the palette: one path per pair.
+    """Witness that X is well-connected in the palette: one path per
+    consecutive pair of the ascending X, which by transitivity covers
+    every pair.
 
     Each path starts at the smaller endpoint, ends at the larger, visits
     pairwise distinct vertices all at or above the smaller endpoint, and

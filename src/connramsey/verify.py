@@ -2,20 +2,24 @@
 
 The verifier shares nothing with the deciders beyond the data model in
 `core`: wc paths are rechecked edge by edge, each edge color read from
-the coloring's color tuple by pair index, and hc connectivity is
-re-derived from Menger's theorem (Menger, Fund. Math. 10, 1927).  A
-graph is j-connected exactly when every non-adjacent pair is joined by j
-internally vertex-disjoint paths.  So a complete (X, E) passes at once.
-A non-complete one with a vertex of fewer than j neighbors fails: that
-vertex's neighborhood cuts it off from a non-neighbor, or, when it has
-none, X has at most j vertices and a non-adjacent pair at most j - 2
-others to route through.  A non-adjacent pair with j common neighbors
-has j disjoint two-edge paths and needs no flow.  The paths of every
-other pair are counted on their own, by augmenting paths that stop at
-j, on the vertex-split graph, a residual dict-of-dicts built on the
-first such pair and reused, each pair's flow undone before the next.
-That is polynomial in |X|, where removing every set of fewer than j
-vertices is exponential in j.
+the coloring's color tuple by pair index.  A path is required for each
+consecutive pair of the ascending X and checked for any other pair of X
+that has one: paths a -> b at or above a and b -> c at or above b > a
+join into a walk a -> c at or above a, which holds a simple path with
+the same ends, so the consecutive pairs make every pair well-connected.
+hc connectivity is re-derived from Menger's theorem (Menger, Fund.
+Math. 10, 1927).  A graph is j-connected exactly when every non-adjacent
+pair is joined by j internally vertex-disjoint paths.  So a complete
+(X, E) passes at once.  A non-complete one with a vertex of fewer than j
+neighbors fails: that vertex's neighborhood cuts it off from a
+non-neighbor, or, when it has none, X has at most j vertices and a
+non-adjacent pair at most j - 2 others to route through.  A non-adjacent
+pair with j common neighbors has j disjoint two-edge paths and needs no
+flow.  The paths of every other pair are counted on their own, by
+augmenting paths that stop at j, on the vertex-split graph, a residual
+dict-of-dicts built on the first such pair and reused, each pair's flow
+undone before the next.  That is polynomial in |X|, where removing every
+set of fewer than j vertices is exponential in j.
 """
 
 from __future__ import annotations
@@ -112,17 +116,15 @@ def verify_certificate(cert, coloring: Coloring) -> str | None:
     # faster than a named-tuple field.
     n, colors = cert.n, coloring.colors
     if isinstance(cert, WcCertificate):
-        pairs = list(combinations(cert.X, 2))  # lexicographic, as X ascends
-        paths = cert.paths
-        want = set(pairs)
-        have = set(paths)
-        missing = want - have
-        if missing:
-            return f"missing path for pair {min(missing)}"
-        extra = have - want
+        X, paths = cert.X, cert.paths
+        for pair in zip(X, X[1:]):
+            if pair not in paths:
+                return f"missing path for pair {pair}"
+        members = set(X)
+        extra = [(a, b) for a, b in paths if not (a in members and b in members and a < b)]
         if extra:
             return f"unexpected path key {min(extra)} outside the pairs of X"
-        for a, b in pairs:
+        for a, b in sorted(paths):
             path = paths[(a, b)]
             if len(path) < 2 or path[0] != a or path[-1] != b:
                 return f"path for ({a}, {b}) does not run from {a} to {b}"

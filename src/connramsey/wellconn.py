@@ -12,8 +12,11 @@ kept as one successor bitmask per vertex: the a-th mask holds the b > a
 reachable from a above a.  Concatenating witness paths shows it is
 transitive, and its predecessor sets are linearly ordered; the tree_check
 oracle in tests/oracles.py asserts both on concrete inputs, and a failure
-there is a test failure, not a silent assumption.  Chains come from level
-masks: level k holds the vertices that start a chain of k + 1 vertices.
+there is a test failure, not a silent assumption.  By transitivity an
+ascending set is well-connected exactly when each consecutive pair is, so
+a certificate carries one path per consecutive pair.  Chains come from
+level masks: level k holds the vertices that start a chain of k + 1
+vertices.
 """
 
 from __future__ import annotations
@@ -27,37 +30,11 @@ def _check_palette(c: Coloring, palette: Palette) -> None:
             raise ValueError(f"palette color {x} out of range for lambda={c.lam}")
 
 
-def _search_paths(adj, a: int) -> dict[int, tuple[int, ...]]:
-    """Breadth-first search from a over vertices >= a along adj: the
-    search-tree path from a to every vertex reached, in discovery order.
-
-    Vertices are discovered frontier by frontier, each frontier vertex in
-    discovery order adding its new neighbors in ascending order, so every
-    tree path is simple, starts at a and never dips below a.
-    """
-    above = -1 << a
-    seen = 1 << a
-    paths = {a: (a,)}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            new = adj[u] & above & ~seen
-            seen |= new
-            path = paths[u]
-            for w in bits(new):
-                paths[w] = path + (w,)
-                nxt.append(w)
-        frontier = nxt
-    return paths
-
-
 def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
-    """Certificate with a path per pair when every pair of X is
-    well-connected in the palette; singletons and the empty set qualify
-    vacuously.  The path of a pair a < b is the path to b in the
-    breadth-first search tree from a, so one tree per vertex of X gives
-    its paths to the larger ones."""
+    """Certificate with a path per consecutive pair when every pair of X
+    is well-connected in the palette; singletons and the empty set
+    qualify vacuously.  The relation is transitive, so the consecutive
+    pairs of X decide every pair."""
     xs = tuple(sorted(set(X)))
     for v in xs:
         if not 0 <= v < c.n:
@@ -67,14 +44,33 @@ def is_wc_set(c: Coloring, X, palette: Palette) -> WcCertificate | None:
 
 
 def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate | None:
-    """is_wc_set for the ascending vertices xs on the palette's rows adj."""
+    """is_wc_set for the ascending vertices xs on the palette's rows adj.
+
+    The path of a consecutive pair a < b is the path to b in the
+    breadth-first search tree from a over vertices >= a: frontier by
+    frontier, each frontier vertex in discovery order adding its new
+    neighbors in ascending order, so the path is simple and never dips
+    below a.  A tree path is fixed when its vertex is discovered, so the
+    search stops at b's discoverer with the path of the whole tree.
+    """
     paths = {}
-    for k, a in enumerate(xs[:-1]):
-        tree = _search_paths(adj, a)
-        for b in xs[k + 1 :]:
-            if b not in tree:
+    for a, b in zip(xs, xs[1:]):
+        above, seen, tree, frontier = -1 << a, 1 << a, {a: (a,)}, [a]
+        while b not in tree:
+            if not frontier:
                 return None
-            paths[(a, b)] = tree[b]
+            nxt = []
+            for u in frontier:
+                new = adj[u] & above & ~seen
+                if new >> b & 1:
+                    tree[b] = tree[u] + (b,)
+                    break
+                seen |= new
+                for w in bits(new):
+                    tree[w] = tree[u] + (w,)
+                    nxt.append(w)
+            frontier = nxt
+        paths[(a, b)] = tree[b]
     return WcCertificate(n, lam, xs, palette, paths)
 
 

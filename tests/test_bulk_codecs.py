@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from oracles import (
     certificate_from_json_reference,
     read_coloring_reference,
     verify_certificate_reference,
+    wc_pair_reference,
 )
 
 
@@ -150,7 +152,7 @@ BAD_KEYS = ["00,1", " 0,1", "+1,2", "1_0,2", "١,2", "-1,2", "-0,1", "1,2,3", "1
 @st.composite
 def decided(draw):
     """A coloring and, when decide finds one, its certificate as a JSON
-    document: small ones in every mode, and wc ones with 66 or 78 paths."""
+    document: small ones in every mode, and wc ones with 11 or 12 paths."""
     if draw(st.booleans()):
         c = draw(colorings(min_n=14, max_n=16, max_lam=2))
         query = RelationQuery("wc", draw(st.integers(12, 13)), 1)
@@ -226,6 +228,25 @@ def test_certificate_parse_and_verify_match_reference(found, data):
     if isinstance(cert, str):
         return
     assert verify_certificate(cert, c) == verify_certificate_reference(cert, c), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(colorings(min_n=14, max_n=16, max_lam=2), st.integers(12, 13), st.data())
+def test_full_pair_certificates_verify_as_the_reference_does(c, m, data):
+    # Earlier versions wrote a path for every pair of X: 66 or 78 here.
+    # Each edit of such a certificate gets the reference's violation.
+    out = decide(c, RelationQuery("wc", m, 1))
+    if not out.holds:
+        return
+    X, members = out.certificate.X, out.certificate.palette.members
+    doc = json.loads(certificate_to_json(out.certificate))
+    doc["paths"] = {
+        f"{a},{b}": list(wc_pair_reference(c, a, b, members)) for a, b in combinations(X, 2)
+    }
+    text = json.dumps(edit_wc(data.draw, doc))
+    cert = assert_same_parse(certificate_from_json, certificate_from_json_reference, text)
+    if not isinstance(cert, str):
+        assert verify_certificate(cert, c) == verify_certificate_reference(cert, c), text
 
 
 def test_certificate_parse_matches_reference_on_fixed_keys():

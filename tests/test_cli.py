@@ -32,7 +32,7 @@ from connramsey.cli import _form, _read_plain, _read_text, build_parser, main
 from connramsey.core import constant_coloring
 from connramsey.generators import random_coloring
 from connramsey.wellconn import is_wc_set
-from oracles import make_graph, write_graph
+from oracles import longest_wc_set, make_graph, wc_pair_reference, write_graph
 
 
 def run(capsys, *argv):
@@ -159,6 +159,69 @@ def test_verify_rejects_path_dipping_below_source(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(cert_path), str(col_path))
     assert code == 1
     assert "dips below source" in json.loads(stdout)["violation"]
+
+
+def wc_rule_case(tmp_path, capsys, edit):
+    """verify's output on the full-pair wc certificate of a longest chain,
+    its paths those of the per-pair search oracle, after edit(X, paths)."""
+    c = random_coloring(10, 2, seed=2)
+    col_path = tmp_path / "c.col"
+    col_path.write_text(write_coloring(c))
+    X = longest_wc_set(c, Palette(frozenset({0})))
+    assert X == (0, 1, 2, 3, 4, 6, 7, 8)
+    paths = {(a, b): list(wc_pair_reference(c, a, b, {0})) for a, b in combinations(X, 2)}
+    edit(X, paths)
+    doc = {"kind": "wc", "n": 10, "lambda": 2, "X": list(X), "Lambda": [0]}
+    doc["paths"] = {f"{a},{b}": path for (a, b), path in paths.items()}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    return run(capsys, "verify", str(cert_path), str(col_path))
+
+
+def test_verify_needs_a_path_per_consecutive_pair_only(tmp_path, capsys):
+    # The full-pair certificates of earlier versions stay valid, and so
+    # does one without a non-consecutive pair: paths join by transitivity.
+    def only_consecutive(X, paths):
+        for pair in set(paths) - set(zip(X, X[1:])):
+            del paths[pair]
+
+    valid = (0, '{"valid":true}\n', "")
+    assert wc_rule_case(tmp_path, capsys, lambda X, paths: None) == valid
+    assert wc_rule_case(tmp_path, capsys, lambda X, paths: paths.pop((2, 6))) == valid
+    assert wc_rule_case(tmp_path, capsys, only_consecutive) == valid
+    # A path that is given is checked, consecutive or not.
+    bad = lambda X, paths: paths.update({(2, 6): [2, 1, 6]})
+    code, stdout, _ = wc_rule_case(tmp_path, capsys, bad)
+    assert (code, json.loads(stdout)["violation"]) == (
+        1, "path for (2, 6) dips below source: vertex 1 < 2"
+    )
+
+
+def test_verify_rejects_a_missing_consecutive_pair_or_an_outside_key(tmp_path, capsys):
+    def violation(edit):
+        code, stdout, _ = wc_rule_case(tmp_path, capsys, edit)
+        assert code == 1
+        return json.loads(stdout)["violation"]
+
+    assert violation(lambda X, paths: paths.pop((4, 6))) == "missing path for pair (4, 6)"
+    assert violation(lambda X, paths: paths.update({(4, 5): [4, 5]})) == (
+        "unexpected path key (4, 5) outside the pairs of X"
+    )
+    assert violation(lambda X, paths: paths.update({(6, 4): [6, 4]})) == (
+        "unexpected path key (6, 4) outside the pairs of X"
+    )
+
+
+def test_random96_wc_certificate_has_a_path_per_consecutive_pair(tmp_path, capsys):
+    col = str(tmp_path / "random96.col")
+    assert run(capsys, "gen", "random", "--n", "96", "--colors", "2", "--seed", "1", "--out", col)[0] == 0
+    code, stdout, _ = run(capsys, "decide", col, "--mode", "wc", "--m", "92", "--palette-size", "1")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert len(doc["X"]) == 92 and len(doc["paths"]) == 91
+    cert = tmp_path / "random96.cert.json"
+    cert.write_text(stdout)
+    assert run(capsys, "verify", str(cert), col) == (0, '{"valid":true}\n', "")
 
 
 def test_verify_rejects_off_palette_edge(tmp_path, delta_file, capsys):

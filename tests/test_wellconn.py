@@ -3,6 +3,9 @@
 import random
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from connramsey import (
     Coloring,
     Palette,
@@ -21,6 +24,7 @@ from oracles import (
     tree_check,
     wc_order,
     wc_pair_reference,
+    wc_path_exists,
     wc_pairs_exhaustive,
 )
 
@@ -190,9 +194,14 @@ def path_corpus():
         yield c, palettes
 
 
+def consecutive(xs):
+    return list(zip(xs, xs[1:]))
+
+
 def test_paths_equal_the_list_ordered_search():
     # is_wc_set on pairs and on chains, and wc decide, keep the paths of
-    # the per-pair search, byte for byte
+    # the per-pair search, byte for byte; a chain's certificate holds
+    # exactly its consecutive pairs
     for c, palettes in path_corpus():
         for members in palettes:
             palette = Palette(members)
@@ -202,11 +211,29 @@ def test_paths_equal_the_list_ordered_search():
             assert {p: pair_path(c, *p, palette) for p in want} == want
             chain = longest_wc_set(c, palette)
             cert = is_wc_set(c, chain, palette)
-            assert cert.paths == {p: want[p] for p in combinations(chain, 2)}
+            assert cert.paths == {p: want[p] for p in consecutive(chain)}
         for m in (2, 3, c.n // 2, c.n):
             out = decide(c, RelationQuery("wc", max(m, 2), 2))
             if out.holds:
                 members = out.certificate.palette.members
                 assert out.certificate.paths == {
-                    p: wc_pair_reference(c, *p, members) for p in combinations(out.certificate.X, 2)
+                    p: wc_pair_reference(c, *p, members) for p in consecutive(out.certificate.X)
                 }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_consecutive_pairs_decide_every_pair(data):
+    # Paths a -> b above a and b -> c above b join into a walk a -> c
+    # above a, so is_wc_set, which searches the consecutive pairs only,
+    # holds exactly when an exhaustive search joins every pair of X.
+    n = data.draw(st.integers(0, 9))
+    lam = data.draw(st.integers(1, 3))
+    npairs = n * (n - 1) // 2
+    cols = data.draw(st.lists(st.integers(0, lam - 1), min_size=npairs, max_size=npairs))
+    c = Coloring(n, lam, tuple(cols))
+    X = sorted(data.draw(st.sets(st.integers(0, n - 1))) if n else [])
+    for k in range(lam + 1):
+        for members in combinations(range(lam), k):
+            want = all(wc_path_exists(c, a, b, members) for a, b in combinations(X, 2))
+            assert (is_wc_set(c, X, Palette(frozenset(members))) is not None) == want
