@@ -537,7 +537,9 @@ def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
                 yield min(tuple(map(new.__getitem__, r)) for r in relabelings)
 
     root = ((0,),) * len(palettes)
-    seen = [set(), {root}, *(set() for _ in range(n_max - 1))]
+    # A level's set is made when the walk first steps down to it, so an
+    # n_max far above the threshold costs nothing.
+    seen = [set(), {root}, set()]
     stack = [children(root, 2)]
     while stack:
         child = next(stack[-1], None)
@@ -550,6 +552,8 @@ def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
             return ThresholdResult(None, (yield from _first_failure(query, n_max, lam, palettes)))
         elif child not in seen[n]:
             seen[n].add(child)
+            if len(seen) == n + 1:
+                seen.append(set())
             stack.append(children(child, n + 1))
     n = seen.index(set(), 2)
     if n == m:

@@ -171,7 +171,7 @@ def cmd_check_wc(args) -> int:
     if cert is not None:
         sys.stdout.write(certificate_to_json(cert))
         return 0
-    _emit({"verdict": "fails", "set": sorted(set(vertex_set)), "palette": sorted(set(_int_list(args.palette)))})
+    _emit({"verdict": "fails", "set": sorted(set(vertex_set)), "palette": sorted(palette.members)})
     return 1
 
 

@@ -23,9 +23,8 @@ tests or scripts calls them.
 from __future__ import annotations
 
 import json
-import re
 from collections import namedtuple
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 
 
 class FormatError(ValueError):
@@ -350,45 +349,15 @@ def _as_int_list(v, what):
 
 
 def _unique_keys(pairs):
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise FormatError(f"duplicate key {key!r} in certificate")
-            seen.add(key)
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise FormatError(f"duplicate key {key!r} in certificate")
+        doc[key] = val
     return doc
 
 
 _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
-
-
-# A path key is "a,b" in the spelling str(int) gives: "00,1", " 0,1",
-# "+0,1" or "-0,1" would name the same pair as a canonical key.
-_PATH_KEY = re.compile(r"(?:0|-?[1-9][0-9]*),(?:0|-?[1-9][0-9]*)")
-
-
-def _bulk_paths(raw: dict):
-    """The paths of a 'paths' object whose keys and values all pass,
-    checked together, or None when any one does not.
-
-    Each list in raw is replaced by its tuple in place, so that a list is
-    freed as its tuple is made and the two copies never coexist.
-    """
-    if not (
-        all(map(_PATH_KEY.fullmatch, raw))
-        and set(map(type, raw.values())) <= {list}
-        and set(map(type, chain.from_iterable(raw.values()))) <= {int}
-    ):
-        return None
-    # The keys join into a JSON list of integers, which the C decoder
-    # converts faster than int() converts one string at a time.
-    try:
-        ends = iter(json.loads(f"[{','.join(raw)}]"))
-    except ValueError:  # a number too long to convert
-        return None
-    raw.update(zip(raw, map(tuple, raw.values())))
-    return dict(zip(zip(ends, ends), raw.values()))
 
 
 def certificate_from_json(text: str):
@@ -396,8 +365,8 @@ def certificate_from_json(text: str):
 
     Structural parsing only: semantic validity against a coloring is the
     verifier's job.  The path keys and values of a wc certificate are
-    checked all together; a malformed one runs the per-key loop, which
-    rejects the first in document order.
+    checked one at a time, and the first malformed one in document order
+    is rejected.
     """
     try:
         if text.startswith("\ufeff"):  # as json.loads rejects it
@@ -420,10 +389,6 @@ def certificate_from_json(text: str):
         raw = doc.get("paths")
         if not isinstance(raw, dict):
             raise FormatError("wc certificate needs a 'paths' object")
-        paths = _bulk_paths(raw)
-        if paths is not None:
-            return WcCertificate(n, lam, X, palette, paths)
-        # A malformed key or value: the first is rejected.
         paths = {}
         for key, val in raw.items():
             parts = key.split(",")

@@ -595,11 +595,18 @@ def test_walk_takes_each_block_when_it_first_reaches_it():
     assert taken == [1, 2, 3, 4, 5]
 
 
-def test_time_limit_holds_before_the_walk_reaches_n_max():
-    # The walk takes the pairs of each new vertex the first time it reaches
-    # it, so an n_max far above the threshold costs neither time nor memory.
-    res = ramsey_number("classical", 3, 2, 1, 2000, time_limit=0.5)
-    assert res.threshold == 6
+@pytest.mark.parametrize(
+    "mode, m, lam, kappa, n_max, threshold",
+    [("classical", 3, 2, 1, 2000, 6), ("wc", 3, 2, 1, 10**6, 4)],
+    ids=["classical", "wc"],
+)
+def test_time_limit_holds_before_the_walk_reaches_n_max(mode, m, lam, kappa, n_max, threshold):
+    # Each walk sets up a level the first time it reaches it (the colex
+    # walk takes the pairs of the new vertex, the wc walk makes the set of
+    # its states), so an n_max far above the threshold costs neither time
+    # nor memory.
+    res = ramsey_number(mode, m, lam, kappa, n_max, time_limit=0.5)
+    assert res.threshold == threshold
 
 
 def is_witness(c, query, pal, X):

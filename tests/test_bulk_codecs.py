@@ -252,7 +252,7 @@ def test_full_pair_certificates_verify_as_the_reference_does(c, m, data):
 def test_certificate_parse_matches_reference_on_fixed_keys():
     # Each entry is added to no other path, to the 3 paths of a 3-vertex
     # X and to the 66 paths of a 12-vertex X: every paths object goes
-    # through the bulk checks, and a rejected one through the per-key loop.
+    # through the per-key loop, which rejects the first bad key or value.
     few = ", ".join(f'"{a},{b}": [{a}, {b}]' for a, b in ((0, 1), (0, 2), (1, 2)))
     many = ", ".join(f'"{a},{b}": [{a}, {b}]' for a in range(12) for b in range(a + 1, 12))
     entries = [f'"{key}": [0, 1]' for key in BAD_KEYS] + [
