@@ -58,17 +58,18 @@ one), so every failing state on n vertices is a child of one on n - 1,
 and a child's state depends only on its parent's and, per palette, the
 top mask of the old vertices whose pair with the new one has a palette
 color.  The walk grows a failing state by every top vector with an O(n)
-update per palette and no reachability search, decides each (palette,
-top mask) of it once, and descends depth first into every failing child,
-canonical under color permutations, that it has not reached before.  It
-stops at its first failing state on n_max; else, once every state it
-reached is expanded, the first depth with none is the threshold.  States
-keep no coloring, so the extremal comes from the scanner, on the level
-below the threshold or on n_max.  Verdicts try
-only the maximal palettes, as every relation is monotone in the
-palette, and run on adjacency rows or orders: only the extremal is a
-Coloring.  With kappa >= lam the one maximal palette holds every pair,
-so every mode holds at n = m and nothing is searched.
+update per palette that also gives the new vertex's longest chain, so no
+verdict searches or scans an order.  It decides each (palette, top mask)
+once per state, descends depth first into every failing child, canonical
+under color permutations, that it has not reached before, and stops at
+its first failing state on n_max; else, once every state it reached is
+expanded, the first depth with none is the threshold.  States keep no
+coloring, so the extremal comes from the scanner, on the level below the
+threshold or on n_max.  Verdicts try only the maximal palettes, as every
+relation is monotone in the palette, and run on adjacency rows or
+orders: only the extremal is a Coloring.  With kappa >= lam the one
+maximal palette holds every pair, so every mode holds at n = m and
+nothing is searched.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from .core import (
     constant_coloring,
     palette_adjacency,
 )
-from .wellconn import chain_of_length, wc_certificate, wc_order_rows
+from .wellconn import chain_of_length, wc_certificate, wc_sweep
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -308,7 +309,7 @@ def _witness(query: RelationQuery, adj, seed: int = 0, full: int = 0) -> int:
     """
     m = query.m
     if query.mode == "wc":
-        return chain_of_length(wc_order_rows(adj), m)
+        return chain_of_length(adj, m)
     j = m if query.j is None else query.j
     full = full or (1 << len(adj)) - 1
     if j < m - 1:
@@ -483,24 +484,26 @@ def _colex_search(query: RelationQuery, lam: int, n_max: int, palettes):
     return ThresholdResult(None if n == n_max else n + 1, failing)
 
 
-def _grow_order(succ, mask: int) -> tuple[int, ...]:
-    """The successor masks of a palette's wc order once a top vertex
-    t = len(succ) is added whose pairs with the vertices of `mask` lie in
-    the palette.
-
-    In G[>= a] the block of a is a plus succ[a], so adding t merges the
-    blocks it touches.  Top down from a = t - 1, `joined` is the block of
-    t in the grown G[> a]: a joins it exactly when its old block meets it
-    or a is adjacent to t, and then gains all of it as successors and
-    brings its own block in."""
+def _grow_order(succ, height, mask: int) -> tuple[tuple[int, ...], int]:
+    """The successor masks of a palette's wc order with chain heights
+    `height` (wc_sweep) once a top vertex t = len(succ) is added whose
+    pairs with the vertices of `mask` lie in the palette, and the longest
+    chain in t's grown block.  In G[>= a] the block of a is a plus
+    succ[a], so adding t merges the blocks it touches.  Top down from
+    a = t - 1, `joined` is the block of t in the grown G[> a], with
+    longest chain h: a joins it exactly when its old block meets it or a
+    is adjacent to t, and then gains all of it as successors and brings
+    its own block in."""
     joined = 1 << len(succ)
+    h = 1
     grown = [*succ, 0]
     for a in range(len(succ) - 1, -1, -1):
         s = succ[a]
         if s & joined or mask >> a & 1:
             grown[a] = s | joined
             joined |= s | 1 << a
-    return tuple(grown)
+            h = h + 1 if h >= height[a] else height[a]
+    return tuple(grown), h
 
 
 def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
@@ -516,7 +519,9 @@ def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
 
     def children(state, n):
         """Yields n per verdict run and each failing canonical child of state."""
-        # (palette, top mask) -> (grown order, whether it has an m-chain)
+        heights = [wc_sweep(succ)[1] for succ in state]
+        # (palette, top mask) -> (grown order, whether it has an m-chain:
+        # state has none, so only the new vertex's block can hold one)
         grown: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
         for top in product(range(lam), repeat=n - 1):
             by_color = [0] * lam
@@ -527,8 +532,8 @@ def _wc_states(query: RelationQuery, lam: int, n_max: int, palettes):
                 mask = sum(map(by_color.__getitem__, pal.members))  # disjoint masks
                 hit = grown.get((i, mask))
                 if hit is None:
-                    succ = _grow_order(state[i], mask)
-                    hit = grown[i, mask] = succ, chain_of_length(succ, m) != 0
+                    succ, h = _grow_order(state[i], heights[i], mask)
+                    hit = grown[i, mask] = succ, h >= m
                     yield n
                 if hit[1]:
                     break

@@ -14,14 +14,14 @@ transitive, and its predecessor sets are linearly ordered; the tree_check
 oracle in tests/oracles.py asserts both on concrete inputs, and a failure
 there is a test failure, not a silent assumption.  By transitivity an
 ascending set is well-connected exactly when each consecutive pair is, so
-a certificate carries one path per consecutive pair.  Chains come from
-level masks: level k holds the vertices that start a chain of k + 1
-vertices.
+a certificate carries one path per consecutive pair.  One top-down
+sweep gives the order and the longest chain from each vertex
+(wc_sweep), and a chain is read off the levels those heights make.
 """
 
 from __future__ import annotations
 
-from .core import Coloring, Palette, WcCertificate, bits, palette_adjacency, reach
+from .core import Coloring, Palette, WcCertificate, bits, palette_adjacency
 
 
 def _check_palette(c: Coloring, palette: Palette) -> None:
@@ -50,72 +50,86 @@ def wc_certificate(n: int, lam: int, xs, palette: Palette, adj) -> WcCertificate
     breadth-first search tree from a over vertices >= a: frontier by
     frontier, each frontier vertex in discovery order adding its new
     neighbors in ascending order, so the path is simple and never dips
-    below a.  A tree path is fixed when its vertex is discovered, so the
-    search stops at b's discoverer with the path of the whole tree.
+    below a.  b stays undiscovered until it is found, so its parent is the
+    first vertex of its frontier adjacent to it, and a frontier is
+    expanded only while b's row misses the frontier's mask `layer`.
     """
     paths = {}
     for a, b in zip(xs, xs[1:]):
-        above, seen, tree, frontier = -1 << a, 1 << a, {a: (a,)}, [a]
-        while b not in tree:
-            if not frontier:
+        near = adj[b]
+        frontier, layer, free, parent = [a], 1 << a, -2 << a, {}
+        while not near & layer:
+            if not layer:
                 return None
-            nxt = []
-            for u in frontier:
-                new = adj[u] & above & ~seen
-                if new >> b & 1:
-                    tree[b] = tree[u] + (b,)
-                    break
-                seen |= new
+            nxt, layer = [], 0
+            for v in frontier:
+                new = adj[v] & free
+                free ^= new
+                layer |= new
                 for w in bits(new):
-                    tree[w] = tree[u] + (w,)
+                    parent[w] = v
                     nxt.append(w)
             frontier = nxt
-        paths[(a, b)] = tree[b]
+        for u in frontier:
+            if near >> u & 1:
+                break
+        path = [b, u]
+        while u != a:
+            u = parent[u]
+            path.append(u)
+        path.reverse()
+        paths[(a, b)] = tuple(path)
     return WcCertificate(n, lam, xs, palette, paths)
 
 
-def wc_order_rows(adj) -> list[int]:
-    """Successor masks of the relation on the palette's adjacency rows
-    `adj`: bit b of the a-th mask is set exactly when a < b and the pair
-    is well-connected in the palette.
+def wc_sweep(masks) -> tuple[list[int], list[int]]:
+    """(succ, height): the successor masks of the wc order on palette rows
+    or on a wc order's own successor masks, and the most vertices of a
+    chain from each vertex.  Top down from a = n - 1, the components of
+    G[> a] are kept as a mask of roots: a component is its least vertex r
+    plus succ[r], and r is related to all of it.  succ[a] is the union of
+    the components that the neighbors of a above a meet (on a wc order,
+    those succ[a] holds), and height[a] is one more than the largest of
+    their roots' heights."""
+    succ = [0] * len(masks)
+    height = succ[:]
+    roots = 0
+    for a in reversed(range(len(masks))):
+        up = masks[a] & -2 << a
+        s, h, rest = 0, 0, roots
+        while up:
+            low = rest & -rest
+            rest ^= low
+            r = low.bit_length() - 1
+            comp = succ[r] | low
+            if comp & up:
+                up &= ~comp
+                s |= comp
+                roots ^= low
+                h = height[r] if height[r] > h else h
+        succ[a] = s
+        height[a] = h + 1
+        roots |= 1 << a
+    return succ, height
 
-    One reachability sweep per source and no search-tree parents:
-    threshold search builds orders by the thousand and needs no paths;
-    is_wc_set builds trees for the chain it certifies.
-    """
-    return [reach(1 << a, adj, -1 << a) ^ 1 << a for a in range(len(adj))]
 
-
-def _chain_levels(succ, m: int) -> list[int]:
-    """levels[k]: the mask of the vertices that start a chain of k + 1
-    vertices, for k < m, up to the first empty level."""
-    levels = []
-    level = (1 << len(succ)) - 1
-    while level and len(levels) < m:
-        levels.append(level)
-        nxt = 0
-        for v, s in enumerate(succ):
-            if s & level:
-                nxt |= 1 << v
-        level = nxt
-    return levels
-
-
-def chain_of_length(succ, m: int) -> int:
-    """Vertex mask of the lexicographically least ascending chain with
-    exactly m vertices of the order with successor masks succ, or 0.
-
-    Taking the least vertex of each level in turn, from the top level
-    down, among the successors of the last one taken is exact because the
-    relation is transitive: extending through any successor keeps all
-    earlier pairs related.
-    """
-    levels = _chain_levels(succ, m)
-    if len(levels) < m:
+def chain_of_length(masks, m: int) -> int:
+    """Vertex mask of the lexicographically least ascending chain of m >= 1
+    vertices of the wc order of `masks` (as wc_sweep takes them), or 0.
+    Level k, the vertices that start a chain of k + 1 vertices, is the
+    union of the height tiers from k up.  Taking the least vertex of each
+    level in turn, from the top level down, among the successors of the
+    last one taken is exact because the relation is transitive: extending
+    through any successor keeps all earlier pairs related."""
+    succ, height = wc_sweep(masks)
+    tiers = [0] * m
+    for v, h in enumerate(height):
+        tiers[min(h, m) - 1] |= 1 << v
+    if not tiers[-1]:
         return 0
-    chain = 0
-    cands = -1
-    for level in reversed(levels):
+    chain, level, cands = 0, 0, -1
+    for tier in reversed(tiers):
+        level |= tier
         low = cands & level
         low &= -low
         chain |= low

@@ -37,6 +37,10 @@ verify_certificate_reference), the references the library's bulk
 versions are held to, and the kernel's flow as it was before its
 layer-mask search (cut_at_least_reference), which records each
 vertex's BFS parent in a dict and which the layered flow is held to.
+The wc order and its chains as they were before the top-down sweep
+(wc_sweep) are the sweep's oracles: one reachability search per source
+(wc_order_rows), a scan of every vertex per chain level (_chain_levels)
+and the least chain read off those levels (chain_of_length_reference).
 """
 
 import json
@@ -64,9 +68,10 @@ from connramsey.core import (
     constant_coloring,
     pair_index,
     palette_adjacency,
+    reach,
 )
 from connramsey.ordinals import ZERO
-from connramsey.wellconn import _chain_levels, _check_palette, chain_of_length, wc_order_rows
+from connramsey.wellconn import _check_palette
 
 
 @dataclass(frozen=True)
@@ -604,12 +609,52 @@ def color(c, a, b):
     return c.colors[pair_index(c.n, a, b)]
 
 
+def wc_order_rows(adj) -> list[int]:
+    """Successor masks of the relation on the palette's adjacency rows
+    `adj`: bit b of the a-th mask is set exactly when a < b and the pair
+    is well-connected in the palette.  One reachability search per
+    source: the oracle of the library's top-down sweep (wc_sweep)."""
+    return [reach(1 << a, adj, -1 << a) ^ 1 << a for a in range(len(adj))]
+
+
 def wc_order(c: Coloring, palette: Palette) -> list[int]:
-    """Successor masks of the relation: bit b of the a-th mask is set
-    exactly when a < b and the pair is well-connected in the palette.
-    The library's wc_order_rows on the coloring's palette rows."""
+    """wc_order_rows on the coloring's palette rows."""
     _check_palette(c, palette)
     return wc_order_rows(palette_adjacency(c, palette.members))
+
+
+def _chain_levels(succ, m: int) -> list[int]:
+    """levels[k]: the mask of the vertices that start a chain of k + 1
+    vertices, for k < m, up to the first empty level.  One scan of every
+    vertex per level: the oracle of the sweep's chain heights."""
+    levels = []
+    level = (1 << len(succ)) - 1
+    while level and len(levels) < m:
+        levels.append(level)
+        nxt = 0
+        for v, s in enumerate(succ):
+            if s & level:
+                nxt |= 1 << v
+        level = nxt
+    return levels
+
+
+def chain_of_length_reference(succ, m: int) -> int:
+    """The library's chain_of_length as it was before the sweep: the
+    least vertex of each of _chain_levels's levels in turn, from the top
+    level down, among the successors of the last one taken, or 0 when
+    there are fewer than m levels."""
+    levels = _chain_levels(succ, m)
+    if len(levels) < m:
+        return 0
+    chain = 0
+    cands = -1
+    for level in reversed(levels):
+        low = cands & level
+        low &= -low
+        chain |= low
+        cands = succ[low.bit_length() - 1]
+    return chain
 
 
 def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
@@ -619,7 +664,7 @@ def longest_wc_set(c: Coloring, palette: Palette) -> tuple[int, ...]:
     lexicographically least vertex list.
     """
     succ = wc_order(c, palette)
-    return tuple(bits(chain_of_length(succ, len(_chain_levels(succ, c.n)))))
+    return tuple(bits(chain_of_length_reference(succ, len(_chain_levels(succ, c.n)))))
 
 
 def tree_check(c: Coloring, palette: Palette) -> bool:

@@ -28,7 +28,7 @@ from connramsey.arrows import (
 from connramsey.connectivity import kappa_connected_mask
 from connramsey.core import Coloring, Palette, bits, constant_coloring, palette_adjacency, read_coloring
 from connramsey.generators import delta_coloring, hub_coloring, random_coloring
-from connramsey.wellconn import chain_of_length, wc_order_rows
+from connramsey.wellconn import chain_of_length, wc_sweep
 from oracles import (
     Graph,
     _extend_levels,
@@ -45,6 +45,7 @@ from oracles import (
     kappa_connected_bruteforce,
     lex_pairs,
     permute_colors,
+    wc_order_rows,
     wc_path_exists,
     wc_witness_bruteforce,
 )
@@ -710,8 +711,9 @@ def drain_levels(search):
 
     The orbit oracle keeps the finished level n - 1 in its local `level`
     while it builds level n into the local `failing`; the state walk adds
-    each failing state it reaches on n vertices to its local `seen[n]`.
-    Both are read off the suspended generator frame."""
+    each failing state it reaches on n vertices to its local `seen[n]`,
+    where `seen` may be a list indexed by n or a dict keyed by n.  Both
+    are read off the suspended generator frame."""
     levels = {}
     while True:
         try:
@@ -720,7 +722,8 @@ def drain_levels(search):
             return done.value, {n: level for n, level in levels.items() if level}
         local = search.gi_frame.f_locals
         if "seen" in local:
-            levels = dict(enumerate(local["seen"]))
+            seen = local["seen"]
+            levels = dict(seen) if isinstance(seen, dict) else dict(enumerate(seen))
         elif "failing" in local and local["failing"] is not local["level"]:
             levels[local["n"] - 1] = local["level"]
 
@@ -730,7 +733,8 @@ def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
     # The state search decides a top vector from the parent's state and
     # each palette's top mask, and memoises the grown order and its
     # verdict per (palette, mask); the grown orders must be those of the
-    # built extension, and their verdict decide's.
+    # built extension, and their verdict, read off the new vertex's chain
+    # height, decide's.
     for m in (3, 4):
         for kappa in (1, 2):
             query = RelationQuery("wc", m, kappa)
@@ -740,11 +744,15 @@ def test_memoised_top_verdicts_agree_with_decide(lam, n_max):
                     if not fails(c, query):
                         continue
                     state = state_of(c, palettes)
+                    heights = [wc_sweep(s)[1] for s in state]
                     for ext in top_extensions(c):
-                        grown = tuple(_grow_order(s, top_mask(ext, p)) for s, p in zip(state, palettes))
-                        assert grown == state_of(ext, palettes)
-                        holds = any(chain_of_length(succ, m) for succ in grown)
+                        grown = [
+                            _grow_order(s, h, top_mask(ext, p)) for s, h, p in zip(state, heights, palettes)
+                        ]
+                        assert tuple(succ for succ, _ in grown) == state_of(ext, palettes)
+                        holds = any(chain_of_length(succ, m) for succ, _ in grown)
                         assert holds == decide(ext, query).holds
+                        assert holds == any(h >= m for _, h in grown)
 
 
 @pytest.mark.parametrize("mode, m, j", (("wc", 3, None),))
@@ -821,7 +829,32 @@ def test_grow_order_matches_the_order_of_the_extension():
         state = state_of(c, palettes)
         for ext in top_extensions(c):
             for succ, p, want in zip(state, palettes, state_of(ext, palettes)):
-                assert _grow_order(succ, top_mask(ext, p)) == want
+                assert _grow_order(succ, wc_sweep(succ)[1], top_mask(ext, p))[0] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grow_order_carries_the_chain_height_of_the_new_block(data):
+    # The height _grow_order returns is the longest chain of the new top
+    # vertex t's block (t and the vertices it becomes a successor of),
+    # as a sweep of the grown order gives it, and every chain outside
+    # that block keeps its height.  Every top vector of a coloring on
+    # n <= 11 vertices gives each palette one of the 2**n top masks, so
+    # all of them are tried.
+    n = data.draw(st.integers(0, 11))
+    lam = data.draw(st.integers(1, 3))
+    npairs = n * (n - 1) // 2
+    c = Coloring(n, lam, tuple(data.draw(st.lists(st.integers(0, lam - 1), min_size=npairs, max_size=npairs))))
+    for p in _maximal_palettes(lam, data.draw(st.integers(1, 2))):
+        succ = wc_order_rows(palette_adjacency(c, p.members))
+        height = wc_sweep(succ)[1]
+        for mask in range(1 << n):
+            grown, h = _grow_order(succ, height, mask)
+            after = wc_sweep(grown)[1]
+            block = [v for v in range(n) if grown[v] >> n & 1] + [n]
+            assert h == max(after[v] for v in block)
+            assert all(after[v] == height[v] for v in range(n) if v not in block)
+            assert max(after) == max([h, *height])
 
 
 def test_palette_holding_every_color_settles_at_m():

@@ -14,15 +14,19 @@ from connramsey import (
     is_wc_set,
     make_coloring,
 )
-from connramsey.core import constant_coloring
+from connramsey.core import constant_coloring, palette_adjacency
 from connramsey.generators import delta_coloring, hub_coloring, random_coloring
+from connramsey.wellconn import chain_of_length, wc_sweep
 from oracles import (
+    _chain_levels,
+    chain_of_length_reference,
     color,
     longest_wc_set,
     max_wc_subset_exhaustive,
     order_pairs,
     tree_check,
     wc_order,
+    wc_order_rows,
     wc_pair_reference,
     wc_path_exists,
     wc_pairs_exhaustive,
@@ -237,3 +241,26 @@ def test_consecutive_pairs_decide_every_pair(data):
         for members in combinations(range(lam), k):
             want = all(wc_path_exists(c, a, b, members) for a, b in combinations(X, 2))
             assert (is_wc_set(c, X, Palette(frozenset(members))) is not None) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sweep_matches_the_reach_and_level_oracles(data):
+    # From the palette rows and from the successor masks they give, the
+    # top-down sweep returns the per-source reach oracle's masks and, per
+    # vertex, the number of levels of the level scan that hold it, which
+    # is its longest chain; and chain_of_length on either input is the
+    # level scan's chain for every m up to n + 1.
+    n = data.draw(st.integers(0, 12))
+    lam = data.draw(st.integers(1, 3))
+    npairs = n * (n - 1) // 2
+    cols = data.draw(st.lists(st.integers(0, lam - 1), min_size=npairs, max_size=npairs))
+    members = frozenset(data.draw(st.sets(st.integers(0, lam - 1))))
+    adj = palette_adjacency(Coloring(n, lam, tuple(cols)), members)
+    succ = wc_order_rows(adj)
+    levels = _chain_levels(succ, n)
+    height = [sum(level >> v & 1 for level in levels) for v in range(n)]
+    for masks in (adj, succ):
+        assert wc_sweep(masks) == (succ, height)
+        for m in range(1, n + 2):
+            assert chain_of_length(masks, m) == chain_of_length_reference(succ, m)
