@@ -3,22 +3,18 @@
 One witness search serves every mode.  hc asks for a size-m set X whose
 palette-colored pairs form a j-connected graph on X (taking every
 palette-colored pair inside X is sound because adding edges never breaks
-j-connectedness).  Classical is hc with j = m: a finite graph is
-m-connected on m vertices exactly when it is complete, and so is an
-(m - 1)-connected one, so every j >= m - 1 is a clique search.  Below
-that, a j-connected m-set has minimum degree at least j, so each member misses at
-most m - 1 - j others: the search grows X lexicographically, prunes with
-that allowance and with j-core peeling, and runs the connectivity kernel
-only on full m-sets.  At j = m - 2 it runs it on none: with allowance 1
-two non-adjacent members share the other m - 2 = j as neighbors, which
-are j disjoint two-edge paths.  Both searches also bound the set by a
-greedy vertex coloring into independent sets, made once per search and
-only after it has failed as many subtrees as there are vertices to
-color.  A clique takes at most one vertex from each class, and a set
-whose members each miss at most m - 1 - j others takes at most m - j
-from each, so a node whose classes cannot add up to m is given up.  A
-bound only cuts subtrees without a witness, so the least witness, the
-palette log and every output byte are those of the search without it.
+j-connectedness); classical is hc with j = m.  Each member of a
+j-connected m-set misses at most s = m - 1 - j others.  At s <= 1 that is
+the whole test, as an m-vertex graph is (m - 1)-connected exactly when it
+is complete and (m - 2)-connected exactly when its complement is a
+matching, so _find_near_clique serves j >= m - 2 with two candidate masks
+and no kernel.  _find_connected serves smaller j: it also peels j-cores
+and runs the connectivity kernel on full m-sets.  Both grow X
+lexicographically and bound it by a greedy coloring into independent
+sets, made once per search after it has failed as many subtrees as there
+are vertices to color: X takes at most s + 1 from each class.  A bound
+only cuts subtrees without a witness, so the least witness, the palette
+log and every output byte are those of the search without it.
 wc asks for a size-m chain of the well-connectedness order under some
 palette; its certificate carries one search-tree path per consecutive pair.
 
@@ -172,67 +168,84 @@ def _class_bound(state: list, adj, S: int, cap: int) -> int:
     return bound
 
 
-def _find_clique(adj, X: int, cands: int, m: int) -> int:
-    """Mask of the lexicographically least m-set that contains the clique
-    X, takes its other members from the mask `cands` (each adjacent to
-    every member of X) and whose pairs are all adjacent in `adj`, or 0.
+def _find_near_clique(adj, X: int, cands: int, m: int, s: int) -> int:
+    """Mask of the lexicographically least m-set that contains the vertex
+    mask X, takes its other members from the mask `cands` and whose
+    members each miss at most s <= 1 others in `adj` (a clique, or K_m
+    minus a matching), or 0.
 
-    A clique takes at most one vertex from each independent set.  So
-    after a failed subtree, a node that needs more than two vertices gives
-    up once fewer classes than it needs meet its candidates.  The classes
-    are a greedy coloring of the first node's candidates, which
-    _class_bound makes once, after as many failed subtrees as there are
-    candidates.  The bound cuts only subtrees without a witness, so the
-    branching order and the least witness are unchanged.  A search that
-    takes its first branches to a witness, or that needs at most two more
-    vertices, never colors.
+    ok0 holds the candidates adjacent to every member, and ok1 those that
+    miss one member, which misses no other.  Taking v from ok0 moves the
+    candidates of ok0 that miss it to ok1 (at s = 1) and drops those of ok1
+    that miss it; taking v from ok1, which misses u, keeps the candidates
+    adjacent to both.  X meets an independent set in at most s + 1
+    vertices, so after a failed subtree a node that needs more than two
+    gives up once _class_bound (cap s + 1) over X and its candidates is
+    below m.
     """
-    state = [cands.bit_count(), cands, None] if m - X.bit_count() > 2 else None
+    ok0, ok1 = cands, 0
+    rest = X
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1]
+        miss = X & ~row ^ low  # the members it misses
+        if miss:
+            if not s or miss & miss - 1:
+                return 0
+            ok1 &= row
+        elif s:
+            ok1 = ok1 & row | ok0 & ~row
+        ok0 &= row
+    cands = ok0 | ok1
+    need = m - X.bit_count()
+    if cands.bit_count() < need:
+        return 0
+    if need < 2:
+        return X | cands & -cands if need else X
+    state = [(X | cands).bit_count(), X | cands, None] if need > 2 else None
 
-    def grow(X: int, cands: int, need: int) -> int:
-        if need == 0:
-            return X
+    def grow(X: int, ok0: int, ok1: int, need: int) -> int:
+        cands = ok0 | ok1
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
-            hit = grow(X | low, cands & adj[low.bit_length() - 1], need - 1)
+            row = adj[low.bit_length() - 1]
+            if ok1 & low:
+                ok1 ^= low
+                next1 = ok1 & row & adj[(X & ~row).bit_length() - 1]
+            else:
+                ok0 ^= low
+                next1 = ok1 & row | ok0 & ~row if s else 0
+            if need == 2:
+                if last := ok0 & row | next1:
+                    return X | low | last & -last
+                continue
+            hit = grow(X | low, ok0 & row, next1, need - 1)
             if hit:
                 return hit
-            if need > 2:
-                state[0] -= 1
-                if state[0] < 0 and _class_bound(state, adj, cands, 1) < need:
-                    return 0
+            state[0] -= 1
+            if state[0] < 0 and _class_bound(state, adj, X | cands, s + 1) < m:
+                return 0
         return 0
 
-    return grow(X, cands, m - X.bit_count())
+    return grow(X, ok0, ok1, need)
 
 
 def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
     """Mask of the lexicographically least m-set that contains the vertex
     mask X, takes its other members from the mask `cands` and is
-    j-connected in `adj`, or 0.  For 1 <= j < m - 1.
+    j-connected in `adj`, or 0.  For 1 <= j < m - 2.
 
-    Branch and bound in the shape of _find_clique.  A j-connected m-set
-    has minimum degree at least j, so each member misses at most
-    m - 1 - j others.  Before branching, a node drops every candidate that
-    already misses more than that many members of X, keeps only the
-    neighbors of a member of X whose allowance is used up, and peels every
-    candidate with fewer than j neighbors among X and the candidates, to a
-    fixed point; it fails when a member of X has fewer than j there.  Only
-    full m-sets reach the connectivity kernel, and at j = m - 2 none do:
-    every member then misses at most one other, so a non-adjacent pair
-    has the other j members as common neighbors, and by Menger's theorem
-    the set is j-connected.  That needs a seed of at most two vertices,
-    as the scanner's are.
-
-    The allowance also bounds the set's size.  An independent set inside
-    it misses its other members, so it has at most m - j vertices, and the
-    set meets each class of a vertex coloring in at most m - j.  The
-    classes color X and the candidates of the first node, and are made
-    as in _find_clique.  So after a failed subtree, a node that needs more
-    than two vertices gives up once min(|class & (X | cands)|, m - j),
-    summed over the classes, is below m.  Counting X in its classes makes
-    that no weaker than |X| plus the capped counts of the candidates alone.
+    Each member of a j-connected m-set misses at most m - 1 - j others.
+    Before branching, a node drops every candidate that already misses
+    more than that many members of X, keeps only the neighbors of a member
+    of X whose allowance is used up, and peels every candidate with fewer
+    than j neighbors among X and the candidates, to a fixed point; it fails
+    when a member of X has fewer than j there.  Only full m-sets reach the
+    connectivity kernel.  As in _find_near_clique, after a failed subtree a
+    node that needs more than two vertices gives up once _class_bound (cap
+    m - j) over X and its candidates is below m.
     """
     budget = m - 1 - j
     state = [(X | cands).bit_count(), X | cands, None] if m - X.bit_count() > 2 else None
@@ -247,14 +260,11 @@ def _find_connected(adj, X: int, cands: int, m: int, j: int) -> int:
             if (X & ~row).bit_count() > budget:
                 cands &= row
         if need == 1:
-            # A candidate within the allowance completes a set of minimum
-            # degree j; at allowance 1 that set is j-connected, and
-            # otherwise the kernel decides the rest.
+            # The kernel decides each candidate within the allowance.
             while cands:
                 low = cands & -cands
                 cands ^= low
-                miss = (X & ~adj[low.bit_length() - 1]).bit_count()
-                if miss <= budget and (budget == 1 or kappa_connected_mask(X | low, adj, j)):
+                if (X & ~adj[low.bit_length() - 1]).bit_count() <= budget and kappa_connected_mask(X | low, adj, j):
                     return X | low
             return 0
         pool = X | cands
@@ -298,11 +308,9 @@ def _witness(query: RelationQuery, adj, seed: int = 0, full: int = 0) -> int:
     the vertex mask `full` (all of adj's vertices when 0), or 0 when
     there is none.
 
-    j >= m - 1 (classical, and hc by default) is the clique search: an
-    (m - 1)-connected graph on m vertices is complete.  Smaller j is the
-    minimum-degree branch and bound of _find_connected, which hands only
-    full m-sets to the connectivity kernel.  A caller passes a seed when
-    every classical or hc witness must contain it: the rows had none
+    j >= m - 2 (classical, and hc by default) is _find_near_clique, and
+    smaller j _find_connected; both take any seed.  A caller passes a seed
+    when every classical or hc witness must contain it: the rows had none
     before the caller added the pair the seed is.  wc takes the least
     chain of the well-connectedness order on all of adj, ignoring `full`,
     and ignores the seed, since a new pair can relate pairs away from it.
@@ -311,18 +319,10 @@ def _witness(query: RelationQuery, adj, seed: int = 0, full: int = 0) -> int:
     if query.mode == "wc":
         return chain_of_length(adj, m)
     j = m if query.j is None else query.j
-    full = full or (1 << len(adj)) - 1
-    if j < m - 1:
-        return _find_connected(adj, seed, full ^ seed, m, j)
-    # The vertices adjacent to every member of the seed, and the seed
-    # itself when it is a clique.
-    cands = full
-    rest = seed
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        cands &= adj[low.bit_length() - 1] | low
-    return _find_clique(adj, seed, cands ^ seed, m) if seed & cands == seed else 0
+    full = (full or (1 << len(adj)) - 1) & ~seed
+    if j < m - 2:
+        return _find_connected(adj, seed, full, m, j)
+    return _find_near_clique(adj, seed, full, m, max(m - 1 - j, 0))
 
 
 def decide(c: Coloring, query: RelationQuery) -> DecisionOutcome:

@@ -374,9 +374,9 @@ def hc_witness_sweep(c, m, j, palettes, seed=0):
     """(palette, X) for the first of `palettes` with a j-connected m-set
     that contains the vertex mask `seed`, X the lexicographically least,
     by sweeping every such m-set through the connectivity kernel; None
-    when there is none.  It is the library's hc search below j = m - 1
-    without its pruning, so it checks that the pruning loses no witness
-    and keeps the least one.
+    when there is none.  It is the library's hc searches without their
+    pruning and candidate masks, so it checks that they lose no witness
+    and keep the least one.
     """
     rest = [1 << v for v in range(c.n) if not seed >> v & 1]
     for pal in palettes:

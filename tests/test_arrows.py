@@ -34,6 +34,7 @@ from oracles import (
     _extend_levels,
     _scan_levels,
     _unpack,
+    all_graphs_on,
     canonical_color_form,
     canonical_colorings,
     colex_pairs,
@@ -871,11 +872,13 @@ def test_palette_holding_every_color_settles_at_m():
 
 
 def test_pruned_hc_search_matches_subset_sweep():
-    # Below j = m - 1 the witness search prunes by minimum degree, and
-    # above it is a clique search through the seed; the unpruned subset
-    # sweep must find the same palette and least X, over all m-sets, over
-    # those that contain the top vertex and over those that contain a pair
-    # {a, b}, as the scanner seeds them.
+    # Below j = m - 2 the witness search prunes by minimum degree, and
+    # from it up it searches two candidate masks through the seed; the
+    # unpruned subset sweep must find the same palette and least X, over
+    # all m-sets, over those that contain the top vertex, over those that
+    # contain a pair {a, b}, as the scanner seeds them, and over those
+    # that contain three vertices, a seed whose members can already miss
+    # each other.
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(3, 12)
@@ -887,9 +890,10 @@ def test_pruned_hc_search_matches_subset_sweep():
         c = Coloring(n, lam, tuple(rng.choices(range(lam), weights, k=n * (n - 1) // 2)))
         palettes = [Palette(frozenset(p)) for p in palette_tuples(lam, kappa)]
         a, b = sorted(rng.sample(range(n), 2))
+        three = sum(1 << v for v in rng.sample(range(n), 3))
         for j in (rng.randint(1, m - 2), rng.choice((m - 1, m))):
             query = RelationQuery("hc", m, kappa, j)
-            for seed in (0, 1 << (n - 1), 1 << a | 1 << b):
+            for seed in (0, 1 << (n - 1), 1 << a | 1 << b, three):
                 want = hc_witness_sweep(c, m, j, palettes, seed=seed)
                 assert witness(c, query, palettes, seed=seed) == want
 
@@ -912,9 +916,9 @@ def test_pruned_hc_search_on_every_extension_of_failing_colorings():
 
 
 def test_allowance_one_needs_no_kernel(monkeypatch):
-    # At j = m - 2 a candidate within the allowance completes a witness:
-    # two non-adjacent members share the other j as neighbors.  The
-    # subset sweep still decides every m-set with the kernel.
+    # At j = m - 2 the witnesses are K_m minus a matching, which the
+    # candidate masks find without the kernel.  The subset sweep still
+    # decides every m-set with the kernel.
     def kernel(*args):
         raise AssertionError("kernel called at j = m - 2")
 
@@ -932,6 +936,19 @@ def test_allowance_one_needs_no_kernel(monkeypatch):
         for seed in (0, 1 << (n - 1), 1 << a | 1 << b):
             want = hc_witness_sweep(c, m, m - 2, palettes, seed=seed)
             assert witness(c, query, palettes, seed=seed) == want
+
+
+def test_seed_members_keep_their_allowance():
+    # The star K1,3 with center 3 is not 2-connected: seeded with its
+    # three leaves, which each miss two others, it has no witness at
+    # hc m=4 j=2, though the center is adjacent to every seed member.
+    rows = [0b1000, 0b1000, 0b1000, 0b0111]
+    assert _witness(RelationQuery("hc", 4, 1, 2), rows, seed=0b0111) == 0
+    assert _witness(RelationQuery("hc", 4, 1, 2), rows) == 0
+    rows[0] |= 0b0110
+    rows[1] |= 0b0001
+    rows[2] |= 0b0001
+    assert _witness(RelationQuery("hc", 4, 1, 2), rows, seed=0b0111) == 0b1111
 
 
 def test_allowance_two_still_reaches_the_kernel(monkeypatch):
@@ -1019,16 +1036,17 @@ def sweep_summary(c, m, kappa, j):
     return tuple(sorted(hit[0].members)), hit[1]
 
 
-# (coloring, whether some search on it runs long enough to color): the
-# constant colorings and the smallest ones finish before that.
+# (coloring, whether some search on it runs long enough to color): only
+# the one-color constant coloring, where every search takes its first
+# branches to a witness, finishes before that.
 BOUNDED_CASES = [
     pytest.param(delta_coloring(3), True, id="delta3"),
     pytest.param(delta_coloring(4), True, id="delta4"),
-    pytest.param(hub_coloring(3, 3), False, id="hub33"),
+    pytest.param(hub_coloring(3, 3), True, id="hub33"),
     pytest.param(hub_coloring(4, 4), True, id="hub44"),
     pytest.param(constant_coloring(8, 0, 1), False, id="constant8-l1"),
-    pytest.param(constant_coloring(8, 1, 3), False, id="constant8-l3"),
-    pytest.param(random_coloring(8, 2, seed=0), False, id="random8-l2"),
+    pytest.param(constant_coloring(8, 1, 3), True, id="constant8-l3"),
+    pytest.param(random_coloring(8, 2, seed=0), True, id="random8-l2"),
     pytest.param(random_coloring(9, 2, seed=1), True, id="random9-l2"),
     pytest.param(random_coloring(10, 3, seed=2), True, id="random10-l3"),
     pytest.param(random_coloring(11, 2, seed=3), True, id="random11-l2"),
@@ -1093,7 +1111,10 @@ def test_connected_search_keeps_witnesses_that_fill_their_classes():
         full = (1 << n) - 1
         want = next((X for X in map(sum, combinations([1 << v for v in range(n)], m)) if kappa_connected_mask(X, rows, j)), 0)
         assert want
-        assert arrows._find_connected(rows, 0, full, m, j) == want
+        if budget == 1:
+            assert arrows._find_near_clique(rows, 0, full, m, 1) == want
+        else:
+            assert arrows._find_connected(rows, 0, full, m, j) == want
         tight += want == sum(1 << v for v in members)
     assert tight
 
@@ -1114,4 +1135,39 @@ def test_clique_search_keeps_cliques_with_one_vertex_per_class():
             want = next(sum(1 << v for v in X) for X in combinations(range(n), m)
                         if all(rows[a] >> b & 1 for a, b in combinations(X, 2)))
             assert want == sum(1 << v for v in range(2 * side, 2 * side + m))
-            assert arrows._find_clique(rows, 0, (1 << n) - 1, m) == want
+            assert arrows._find_near_clique(rows, 0, (1 << n) - 1, m, 0) == want
+
+
+def test_m_minus_2_connected_iff_complement_is_a_matching():
+    # A graph on m vertices is (m - 2)-connected exactly when its
+    # complement is a matching, and (m - 1)-connected exactly when it is
+    # complete: what the search at allowance 1 and 0 finds.
+    for m in range(2, 7):
+        for g in all_graphs_on(m):
+            missing = [p for p in combinations(g.vertices, 2) if p not in g.edges]
+            matching = len({v for p in missing for v in p}) == 2 * len(missing)
+            assert kappa_connected_bruteforce(g, m - 2) == matching, g
+            assert kappa_connected_bruteforce(g, m - 1) == (not missing), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_near_clique_search_matches_the_oracles(data):
+    # At allowance 0 (j = m - 1 or m) and 1 (j = m - 2), with seeds of 0
+    # to 3 vertices whose members may miss each other, the search gives
+    # the subset sweep's palette and least X, and unseeded on at most 8
+    # vertices the removal enumerator's.
+    n = data.draw(st.integers(3, 11))
+    lam = data.draw(st.integers(1, 3))
+    npairs = n * (n - 1) // 2
+    c = Coloring(n, lam, tuple(data.draw(st.lists(st.integers(0, lam - 1), min_size=npairs, max_size=npairs))))
+    m = data.draw(st.integers(3, n))
+    j = data.draw(st.integers(m - 2, m))
+    kappa = data.draw(st.integers(1, 2))
+    seed = sum(1 << v for v in data.draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    palettes = [Palette(frozenset(p)) for p in palette_tuples(lam, kappa)]
+    query = RelationQuery("hc", m, kappa, j)
+    got = witness(c, query, palettes, seed=seed)
+    assert got == hc_witness_sweep(c, m, j, palettes, seed=seed)
+    if not seed and n <= 8:
+        assert summary(decide(c, query)) == oracle_summary(*hc_witness_bruteforce(c, m, kappa, j))
