@@ -24,15 +24,17 @@ checked against its choices, as argparse does.  Every other argument
 list goes to argparse: `-h`, `--opt=value`, abbreviations, `--`, values
 starting with `-`, unknown, extra or missing arguments, and values that
 fail their type or choices.  So every help text and usage error is
-argparse's.  The grammar is declared once, in build_parser, and the
-one-pass reader works from a table read off that parser.
+argparse's.  The grammar is declared once, as data in COMMANDS: the
+one-pass reader works from it, and build_parser builds argparse from it
+only when an argument list needs argparse, so a plain list neither
+imports nor builds argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 
 from .arrows import ResourceCapExceeded, decide, ramsey_number
 from .connectivity import kappa_connected_mask, read_graph
@@ -175,141 +177,137 @@ def cmd_check_wc(args) -> int:
     return 1
 
 
+# Each command path: the help its parent lists it with, the function that
+# runs it, and its arguments as add_argument keywords by name, in the
+# order the help lists them.  build_parser builds argparse from this
+# table and _read_plain reads plain argument lists with it, so the
+# grammar is declared once.  A path of two words is a kind of the group
+# that its first word names in _GROUPS.
+_INT = {"type": int, "required": True}
+_MODE = {"choices": ("classical", "hc", "wc"), "required": True}
+_SEED = {"type": int, "default": 0}
+_OUT = {"--out": {"required": True, "help": "coloring file to write"}}
+COMMANDS = {
+    ("gen", "random"): (
+        "seeded uniform coloring", cmd_gen, {"--n": _INT, "--colors": _INT, "--seed": _SEED, **_OUT}
+    ),
+    ("gen", "constant"): (
+        "one color everywhere", cmd_gen, {"--n": _INT, "--color": _INT, "--colors": _INT, **_OUT}
+    ),
+    ("gen", "delta"): ("first-difference coloring on bit strings", cmd_gen, {"--len": _INT, **_OUT}),
+    ("gen", "hub"): (
+        "two interleaved classes, crossing color 0", cmd_gen, {"--n0": _INT, "--n1": _INT, **_OUT}
+    ),
+    ("gen", "csystem"): ("derived coloring of sampled limit ordinals", cmd_gen, {
+        "--dim": {**_INT, "help": "largest omega-exponent sampled"},
+        "--coeff-max": _INT, "--size": _INT, "--seed": _SEED, **_OUT,
+    }),
+    ("decide",): ("decide a relation on a coloring file", cmd_decide, {
+        "coloring": {}, "--mode": _MODE, "--m": _INT, "--palette-size": _INT,
+        "--j": {"type": int, "help": "hc connectivity demand, default m"},
+    }),
+    ("ramsey",): ("least n making the relation hold for every coloring", cmd_ramsey, {
+        "--mode": _MODE, "--m": _INT, "--colors": _INT, "--palette-size": _INT, "--j": {"type": int},
+        "--max-n": _INT, "--time-limit": {"type": float, "help": "seconds before aborting"},
+    }),
+    ("verify",): ("independently re-validate a certificate", cmd_verify, {"certificate": {}, "coloring": {}}),
+    ("check-conn",): ("kappa-connectedness of a graph file", cmd_check_conn, {"graph": {}, "--kappa": _INT}),
+    ("check-wc",): ("is a vertex set well-connected in a palette", cmd_check_wc, {
+        "coloring": {},
+        "--set": {"required": True, "help": "comma-separated vertices"},
+        "--palette": {"required": True, "help": "comma-separated colors"},
+    }),
+}
+_GROUPS = {("gen",): "generate a coloring file"}
+_WORDS = ("command", "kind")  # the namespace names of a path's words
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every later call.
+def build_parser():
+    """The CLI's argparse parser, built from COMMANDS on first use and
+    shared by every later call.
 
     Parsing leaves no state on the parser: each parse fills a fresh
     namespace from the declared defaults, and help width is read from the
     terminal when the help is printed.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="connramsey",
         description="Decide and certify finite highly/well-connected partition relations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a coloring file")
-    gen_sub = gen.add_subparsers(dest="kind", required=True)
-    g_random = gen_sub.add_parser("random", help="seeded uniform coloring")
-    g_random.add_argument("--n", type=int, required=True)
-    g_random.add_argument("--colors", type=int, required=True)
-    g_random.add_argument("--seed", type=int, default=0)
-    g_constant = gen_sub.add_parser("constant", help="one color everywhere")
-    g_constant.add_argument("--n", type=int, required=True)
-    g_constant.add_argument("--color", type=int, required=True)
-    g_constant.add_argument("--colors", type=int, required=True)
-    g_delta = gen_sub.add_parser("delta", help="first-difference coloring on bit strings")
-    g_delta.add_argument("--len", type=int, required=True)
-    g_hub = gen_sub.add_parser("hub", help="two interleaved classes, crossing color 0")
-    g_hub.add_argument("--n0", type=int, required=True)
-    g_hub.add_argument("--n1", type=int, required=True)
-    g_csystem = gen_sub.add_parser("csystem", help="derived coloring of sampled limit ordinals")
-    g_csystem.add_argument("--dim", type=int, required=True, help="largest omega-exponent sampled")
-    g_csystem.add_argument("--coeff-max", type=int, required=True)
-    g_csystem.add_argument("--size", type=int, required=True)
-    g_csystem.add_argument("--seed", type=int, default=0)
-    for p in (g_random, g_constant, g_delta, g_hub, g_csystem):
-        p.add_argument("--out", required=True, help="coloring file to write")
-    gen.set_defaults(func=cmd_gen)
-
-    dec = sub.add_parser("decide", help="decide a relation on a coloring file")
-    dec.add_argument("coloring")
-    dec.add_argument("--mode", choices=("classical", "hc", "wc"), required=True)
-    dec.add_argument("--m", type=int, required=True)
-    dec.add_argument("--palette-size", type=int, required=True)
-    dec.add_argument("--j", type=int, default=None, help="hc connectivity demand, default m")
-    dec.set_defaults(func=cmd_decide)
-
-    ram = sub.add_parser("ramsey", help="least n making the relation hold for every coloring")
-    ram.add_argument("--mode", choices=("classical", "hc", "wc"), required=True)
-    ram.add_argument("--m", type=int, required=True)
-    ram.add_argument("--colors", type=int, required=True)
-    ram.add_argument("--palette-size", type=int, required=True)
-    ram.add_argument("--j", type=int, default=None)
-    ram.add_argument("--max-n", type=int, required=True)
-    ram.add_argument("--time-limit", type=float, default=None, help="seconds before aborting")
-    ram.set_defaults(func=cmd_ramsey)
-
-    ver = sub.add_parser("verify", help="independently re-validate a certificate")
-    ver.add_argument("certificate")
-    ver.add_argument("coloring")
-    ver.set_defaults(func=cmd_verify)
-
-    conn = sub.add_parser("check-conn", help="kappa-connectedness of a graph file")
-    conn.add_argument("graph")
-    conn.add_argument("--kappa", type=int, required=True)
-    conn.set_defaults(func=cmd_check_conn)
-
-    cwc = sub.add_parser("check-wc", help="is a vertex set well-connected in a palette")
-    cwc.add_argument("coloring")
-    cwc.add_argument("--set", required=True, help="comma-separated vertices")
-    cwc.add_argument("--palette", required=True, help="comma-separated colors")
-    cwc.set_defaults(func=cmd_check_wc)
-
+    subparsers = {(): parser.add_subparsers(dest=_WORDS[0], required=True)}
+    for path, (summary, _, arguments) in COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:
+            sub = subparsers[()].add_parser(group[0], help=_GROUPS[group])
+            subparsers[group] = sub.add_subparsers(dest=_WORDS[1], required=True)
+        leaf = subparsers[group].add_parser(path[-1], help=summary)
+        for name, keywords in arguments.items():
+            leaf.add_argument(name, **keywords)
     return parser
 
 
 @functools.cache
-def _form(parser: argparse.ArgumentParser) -> tuple:
-    """(defaults, options, positionals, required, subcommands) of a parser:
-    the values its namespace starts from, its single-value store options
-    by option string, its single-value positionals in order, the dests
-    argparse requires, and (dest, forms by name) of its subcommands."""
-    defaults = dict(parser._defaults)
-    options, positionals, subcommands = {}, [], None
-    for action in parser._actions:
-        if action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        if isinstance(action, argparse._SubParsersAction):
-            subcommands = (action.dest, {name: _form(p) for name, p in action.choices.items()})
-        elif type(action) is argparse._StoreAction and action.nargs is None:
-            if not action.option_strings:
-                positionals.append(action)
-            for opt in action.option_strings:
-                options[opt] = action
-    required = {action.dest for action in parser._actions if action.required}
-    return defaults, options, positionals, required, subcommands
+def _plain_form(path: tuple) -> tuple:
+    """(defaults, options, positionals, required) of a command path: the
+    values its namespace starts from, (dest, type, choices) of its options
+    by option string and of its positionals in order, and the dests that
+    argparse requires."""
+    defaults = dict(zip(_WORDS, path))
+    options, positionals, required = {}, [], set()
+    for name, keywords in COMMANDS[path][2].items():
+        dest = name.lstrip("-").replace("-", "_")
+        defaults[dest] = keywords.get("default")
+        spec = (dest, keywords.get("type"), keywords.get("choices"))
+        if name.startswith("-"):
+            options[name] = spec
+            if keywords.get("required"):
+                required.add(dest)
+        else:
+            positionals.append(spec)
+            required.add(dest)
+    return defaults, options, positionals, required
 
 
-def _read_plain(argv) -> argparse.Namespace | None:
+def _read_plain(argv) -> types.SimpleNamespace | None:
     """The namespace parse_args would return for an argument list in the
     plain form, or None for any other list, which argparse then parses."""
-    defaults, options, positionals, required, subcommands = _form(build_parser())
+    for words in (1, 2):
+        path = tuple(argv[:words])
+        if path in COMMANDS:
+            break
+    else:
+        return None
+    defaults, options, positionals, required = _plain_form(path)
     values = dict(defaults)
-    i = 0
-    while subcommands is not None:
-        dest, forms = subcommands
-        if i == len(argv) or argv[i] not in forms:
-            return None
-        values[dest] = argv[i]
-        defaults, options, positionals, required, subcommands = forms[argv[i]]
-        values.update(defaults)
-        i += 1
     given = set()
     pending = iter(positionals)
+    i = words
     while i < len(argv):
         if argv[i].startswith("-"):
-            action = options.get(argv[i])
+            spec = options.get(argv[i])
             i += 1
-            if action is None or i == len(argv) or argv[i].startswith("-"):
+            if spec is None or i == len(argv) or argv[i].startswith("-"):
                 return None
         else:
-            action = next(pending, None)
-            if action is None:
+            spec = next(pending, None)
+            if spec is None:
                 return None
+        dest, convert, choices = spec
         try:
-            value = argv[i] if action.type is None else action.type(argv[i])
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = argv[i] if convert is None else convert(argv[i])
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        given.add(action.dest)
+        values[dest] = value
+        given.add(dest)
         i += 1
     if not required <= given:
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -320,8 +318,9 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    _, handler, _ = COMMANDS[tuple(getattr(args, word) for word in _WORDS if hasattr(args, word))]
     try:
-        return args.func(args)
+        return handler(args)
     except (ResourceCapExceeded, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

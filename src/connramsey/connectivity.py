@@ -38,38 +38,15 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import FormatError, bits, reach
+from .core import FormatError, bits, reach, read_int_lines
 
 
 def read_graph(text: str) -> list[int]:
     """Adjacency rows of a graph file: row v is the neighbor mask of
     vertex v, for v in 0..n-1."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"malformed header {lines[0]!r}: expected '<n> <e>'")
-    try:
-        n, e = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"malformed header {lines[0]!r}") from exc
-    if n < 0 or e < 0:
-        raise FormatError(f"bad header values n={n} e={e}")
-    body = lines[1:]
-    if len(body) != e:
-        raise FormatError(f"expected {e} edge lines, got {len(body)}")
+    n, _, _, rows = read_int_lines(text, "graph", "e", 0, lambda _, e: e, "edge", 2)
     adj = [0] * n
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"malformed edge line {ln!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"malformed edge line {ln!r}") from exc
+    for ln, (a, b) in rows:
         if not 0 <= a < b < n:
             raise FormatError(f"edge line {ln!r}: need 0 <= a < b < n")
         if adj[a] >> b & 1:

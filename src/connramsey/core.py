@@ -175,6 +175,45 @@ def _lexicographic_colors(n: int, body: list[str]) -> tuple[int, ...] | None:
         return None
 
 
+def read_int_lines(text: str, file: str, x: str, x_min: int, count, row: str, width: int):
+    """(n, x, body lines, rows) of a file made of a header `<n> <x>`, with
+    n >= 0 and x >= x_min, and count(n, x) body lines of `width` integers
+    separated by whitespace.  rows parses the body lazily, yielding each
+    line with its integers.  Errors call it a `file` file with `row` lines.
+    """
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FormatError(f"empty {file} file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"malformed header {lines[0]!r}: expected '<n> <{x}>'")
+    try:
+        n, value = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"malformed header {lines[0]!r}") from exc
+    if n < 0 or value < x_min:
+        raise FormatError(f"bad header values n={n} {x}={value}")
+    want = count(n, value)
+    body = lines[1:]
+    if len(body) != want:
+        raise FormatError(f"expected {want} {row} lines, got {len(body)}")
+
+    def rows():
+        for ln in body:
+            parts = ln.split()
+            if len(parts) != width:
+                raise FormatError(f"malformed {row} line {ln!r}")
+            try:
+                ints = list(map(int, parts))
+            except ValueError as exc:
+                raise FormatError(f"malformed {row} line {ln!r}") from exc
+            yield ln, ints
+
+    return n, value, body, rows()
+
+
 def read_coloring(text: str) -> Coloring:
     """Parse the coloring file format; inverse of write_coloring.
 
@@ -184,24 +223,9 @@ def read_coloring(text: str) -> Coloring:
     tabs) and every rejection go through the per-line parser, which names
     the first bad line or pair.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty coloring file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"malformed header {lines[0]!r}: expected '<n> <lambda>'")
-    try:
-        n, lam = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"malformed header {lines[0]!r}") from exc
-    if n < 0 or lam < 1:
-        raise FormatError(f"bad header values n={n} lambda={lam}")
-    want = n * (n - 1) // 2
-    body = lines[1:]
-    if len(body) != want:
-        raise FormatError(f"expected {want} pair lines, got {len(body)}")
+    n, lam, body, rows = read_int_lines(
+        text, "coloring", "lambda", 1, lambda n, _: n * (n - 1) // 2, "pair", 3
+    )
     colors = _lexicographic_colors(n, body)
     if colors is not None:
         try:
@@ -209,14 +233,7 @@ def read_coloring(text: str) -> Coloring:
         except ValueError:
             pass  # a color out of range: the per-line parser names its pair
     entries = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"malformed pair line {ln!r}")
-        try:
-            a, b, col = map(int, parts)
-        except ValueError as exc:
-            raise FormatError(f"malformed pair line {ln!r}") from exc
+    for ln, (a, b, col) in rows:
         if a >= b:
             raise FormatError(f"pair line {ln!r}: need a < b")
         entries.append((a, b, col))

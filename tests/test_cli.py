@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -28,7 +29,7 @@ from connramsey import (
     verify_certificate,
     write_coloring,
 )
-from connramsey.cli import _form, _read_plain, _read_text, build_parser, main
+from connramsey.cli import COMMANDS, _read_plain, _read_text, build_parser, main
 from connramsey.core import constant_coloring
 from connramsey.generators import random_coloring
 from connramsey.wellconn import is_wc_set
@@ -589,6 +590,30 @@ def test_argparse_only_forms_keep_their_results(tmp_path, delta_file, capsys):
     assert code == 0 and stdout.startswith("usage: connramsey decide")
 
 
+@functools.cache
+def _form(parser: argparse.ArgumentParser) -> tuple:
+    """(defaults, options, positionals, required, subcommands) of a parser,
+    read off argparse's own actions: the values its namespace starts from,
+    its single-value store options by option string, its single-value
+    positionals in order, the dests argparse requires, and (dest, forms by
+    name) of its subcommands.  The equivalence test draws its argument
+    lists from these, independently of the table the one-pass reader uses."""
+    defaults = dict(parser._defaults)
+    options, positionals, subcommands = {}, [], None
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands = (action.dest, {name: _form(p) for name, p in action.choices.items()})
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            if not action.option_strings:
+                positionals.append(action)
+            for opt in action.option_strings:
+                options[opt] = action
+    required = {action.dest for action in parser._actions if action.required}
+    return defaults, options, positionals, required, subcommands
+
+
 def _leaves(form, path=()):
     """(command path, form) of every parser without subcommands."""
     *_, subcommands = form
@@ -666,6 +691,7 @@ def _comparable(values: dict) -> dict:
 @settings(max_examples=1000, deadline=None)
 @given(_argv())
 def test_plain_reader_agrees_with_argparse(argv):
+    assert [path for path, _ in LEAVES] == list(COMMANDS)
     read = _read_plain(argv)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -714,7 +740,7 @@ def test_parser_built_once_and_reused(tmp_path, delta_file, capsys, monkeypatch)
     graph = tmp_path / "g.graph"
     graph.write_text(write_graph(make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])))
     cert = tmp_path / "cert.json"
-    calls = [
+    plain = [
         ("gen", "delta", "--len", "2", "--out", str(tmp_path / "d.col")),
         ("decide", delta_file, "--mode", "wc", "--m", "3", "--palette-size", "1"),
         ("decide", delta_file, "--mode", "hc", "--m", "4", "--palette-size", "1", "--j", "2"),
@@ -724,13 +750,16 @@ def test_parser_built_once_and_reused(tmp_path, delta_file, capsys, monkeypatch)
         ("verify", str(cert), delta_file),
         ("check-conn", str(graph), "--kappa", "2"),
         ("check-wc", delta_file, "--set", "0,1,2", "--palette", "0"),
+    ]
+    argparse_only = [
         ("decide", delta_file, "--mode", "nope", "--m", "3", "--palette-size", "1"),
         ("--help",),
     ]
-    code, stdout, _ = run(capsys, *calls[1])  # warm-up: builds the parser
+    code, stdout, _ = run(capsys, *plain[1])
     assert code == 0
     cert.write_text(stdout)
 
+    build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -739,9 +768,15 @@ def test_parser_built_once_and_reused(tmp_path, delta_file, capsys, monkeypatch)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    first = [run(capsys, *argv) for argv in calls]
-    second = [run(capsys, *argv) for argv in calls]
-    assert built == []
+    first = [run(capsys, *argv) for argv in plain]
+    assert built == []  # plain lists are read without argparse
+    first.append(run(capsys, *argparse_only[0]))
+    # the first list that only argparse reads builds the whole tree, once
+    assert built == ["connramsey", "connramsey gen", *("connramsey " + " ".join(path) for path in COMMANDS)]
+    assert len(built) == 12
+    first.append(run(capsys, *argparse_only[1]))
+    second = [run(capsys, *argv) for argv in plain + argparse_only]
+    assert len(built) == 12
     assert first == second
     assert [code for code, _, _ in first] == [0, 0, 0, 1, 0, 0, 0, 0, 2, 0]
 
@@ -928,6 +963,8 @@ def test_only_gen_loads_generators_and_ordinals(tmp_path, delta_file, body, gen_
     # The records are named tuples, so no command, gen csystem included,
     # loads the dataclass machinery.
     assert "dataclasses" not in added and "inspect" not in added
+    # Plain argument lists are read without argparse, so none of these loads it.
+    assert "argparse" not in added
 
 
 @pytest.mark.parametrize(
