@@ -42,8 +42,6 @@ _LAZY = {
     "hub_coloring": "generators",
     "random_coloring": "generators",
     "CnfOrdinal": "ordinals",
-    "CsystemReport": "ordinals",
-    "check_csystem_axioms": "ordinals",
     "coloring_from_csystem": "ordinals",
     "ord_print": "ordinals",
     "sample_universe": "ordinals",

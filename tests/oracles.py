@@ -29,7 +29,11 @@ the relation is a tree order; the Graph type of the removal enumerator,
 its vertex mask and adjacency rows (vertex_mask, graph_rows), the
 library's kernel on it (kappa_connected_fast), and its construction and
 serialization (make_graph, write_graph); and ordinal construction and
-parsing (from_int, ord_parse).
+parsing (ZERO, omega_power, from_int, ord_parse).
+
+The club-system oracle (csystem_violation) checks the clauses behind
+`gen csystem` below a bound, over every ordinal and limit there
+(enumerate_ordinals, enumerate_limits: the sampler's reference pool).
 
 Last come the per-line and per-pair coloring and certificate readers and
 verifier (read_coloring_reference, certificate_from_json_reference,
@@ -70,7 +74,7 @@ from connramsey.core import (
     palette_adjacency,
     reach,
 )
-from connramsey.ordinals import ZERO
+from connramsey.ordinals import acc_member, blockfloor, i_min
 from connramsey.wellconn import _check_palette
 
 
@@ -706,6 +710,13 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+ZERO = CnfOrdinal()
+
+
+def omega_power(exp: int, coeff: int = 1) -> CnfOrdinal:
+    return CnfOrdinal(((exp, coeff),))
+
+
 def from_int(value: int) -> CnfOrdinal:
     if value < 0:
         raise ValueError("ordinals are non-negative")
@@ -740,6 +751,85 @@ def ord_parse(text: str, d: int | None = None) -> CnfOrdinal:
         if terms[k - 1][0] <= terms[k][0]:
             raise ValueError(f"exponents not strictly descending in {text!r}")
     return CnfOrdinal(tuple(terms))
+
+
+def enumerate_ordinals(max_exp: int, coeff_max: int) -> list[CnfOrdinal]:
+    """Every ordinal (zero, successors, limits) with exponents up to
+    max_exp and coefficients up to coeff_max, ascending."""
+    out = [ZERO]
+    for r in range(1, max_exp + 2):
+        for exps in combinations(range(max_exp, -1, -1), r):
+            for coeffs in product(range(1, coeff_max + 1), repeat=r):
+                out.append(CnfOrdinal(tuple(zip(exps, coeffs))))
+    out.sort()
+    return out
+
+
+def enumerate_limits(max_exp: int, coeff_max: int) -> list[CnfOrdinal]:
+    """The limits among those ordinals, ascending: the pool that
+    sample_universe draws from by index."""
+    return [x for x in enumerate_ordinals(max_exp, coeff_max) if x.is_limit]
+
+
+def csystem_violation(d: int, coeff_max: int) -> str | None:
+    """The first club-system clause that fails on the limit ordinals
+    below omega^d with coefficients up to coeff_max, or None.
+
+    The club C(alpha, i) is [left, alpha) with left = blockfloor(alpha,
+    i + 1), and its order type is the terms of alpha with exponent <= i.
+    Checked per limit alpha and index i in [i_min(alpha), d): the club is
+    a nonempty club in alpha (unboundedness and closedness probed against
+    every enumerated ordinal below alpha), clubs nest as i grows, and
+    otp(C(alpha, i)) < omega^(i+1).  Checked per pair alpha < beta:
+    coherence at every index where alpha accumulates, and covering at
+    some index.
+    """
+    limits = enumerate_limits(d - 1, coeff_max) if d >= 2 else []
+    probes = enumerate_ordinals(d - 1, coeff_max)
+    for alpha in limits:
+        floor = i_min(alpha)
+        if floor >= d:
+            return f"index floor {floor} of {alpha} is not below {d}"
+        prev_left = None
+        for i in range(floor, d):
+            left = blockfloor(alpha, i + 1)
+            if not left < alpha:
+                return f"C({alpha},{i}) is empty"
+            for gamma in probes:
+                if not gamma < alpha:
+                    continue
+                # Unbounded in alpha: some member lies above gamma, the
+                # left end or else gamma + 1.
+                if gamma < left:
+                    witness = left
+                elif gamma.terms and gamma.terms[-1][0] == 0:
+                    witness = CnfOrdinal(gamma.terms[:-1] + ((0, gamma.terms[-1][1] + 1),))
+                else:
+                    witness = CnfOrdinal(gamma.terms + ((0, 1),))
+                if not (left <= witness < alpha and gamma < witness):
+                    return f"C({alpha},{i}) not unbounded past {gamma}"
+                # Closed in alpha: limits of initial parts stay inside.
+                if gamma.is_limit and left < gamma and not left <= gamma < alpha:
+                    return f"C({alpha},{i}) not closed at {gamma}"
+            order_type = CnfOrdinal(t for t in alpha.terms if t[0] <= i)
+            if not order_type < omega_power(i + 1):
+                return f"otp(C({alpha},{i})) = {order_type} not below w^{i + 1}"
+            if prev_left is not None and left > prev_left:
+                return f"C({alpha},{i - 1}) not contained in C({alpha},{i})"
+            prev_left = left
+    for alpha, beta in combinations(limits, 2):
+        covered = False
+        for i in range(i_min(beta), d):
+            if not acc_member(alpha, beta, i):
+                continue
+            covered = True
+            if i_min(alpha) > i:
+                return f"coherence: i({alpha}) > {i} though {alpha} accumulates in C({beta},{i})"
+            if blockfloor(alpha, i + 1) != blockfloor(beta, i + 1):
+                return f"coherence: C({alpha},{i}) != C({beta},{i}) below {alpha}"
+        if not covered:
+            return f"covering fails for {alpha} < {beta}"
+    return None
 
 
 # The coloring and certificate readers and the verifier as they were

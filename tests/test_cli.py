@@ -93,6 +93,21 @@ def test_gen_csystem_deterministic(tmp_path, capsys):
     assert json.loads(meta_a)["universe"] == json.loads(meta_b)["universe"]
 
 
+def test_gen_csystem_draws_from_a_huge_pool_by_index(tmp_path, capsys):
+    # 10**18 - 1 limits are drawn from without building the pool; 10**19 - 1
+    # is past sys.maxsize, too many to index, and is a usage error.
+    out = tmp_path / "big.col"
+    args = ["gen", "csystem", "--coeff-max", "9", "--out", str(out)]
+    code, stdout, _ = run(capsys, *args, "--dim", "18", "--size", "5")
+    assert code == 0 and len(json.loads(stdout)["universe"]) == 5
+    assert read_coloring(out.read_text()).n == 5
+    out.unlink()
+    code, stdout, err = run(capsys, *args, "--dim", "19", "--size", "3")
+    assert (code, stdout) == (2, "")
+    assert err == "error: 9999999999999999999 limit ordinals are too many to sample from\n"
+    assert not out.exists()
+
+
 def test_gen_random_seeded(tmp_path, capsys):
     out = tmp_path / "r.col"
     code, stdout, _ = run(
@@ -860,8 +875,6 @@ LAZY_EXPORTS = {
     "generators": ("delta_coloring", "hub_coloring", "random_coloring"),
     "ordinals": (
         "CnfOrdinal",
-        "CsystemReport",
-        "check_csystem_axioms",
         "coloring_from_csystem",
         "ord_print",
         "sample_universe",

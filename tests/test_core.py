@@ -23,14 +23,7 @@ from connramsey import (
 )
 from connramsey.core import pair_index
 from connramsey.generators import random_coloring
-from connramsey.ordinals import (
-    ClubInterval,
-    CnfOrdinal,
-    CsystemReport,
-    check_csystem_axioms,
-    club_interval,
-    omega_power,
-)
+from connramsey.ordinals import CnfOrdinal
 from oracles import canonical_color_form, color, permute_colors
 
 
@@ -242,17 +235,6 @@ RECORDS = [
         lambda: CnfOrdinal(((2, 1), (1, 3))),
         CnfOrdinal(((2, 1),)),
         "CnfOrdinal(terms=((2, 1), (1, 3)))",
-    ),
-    (
-        lambda: club_interval(omega_power(2), 2),
-        ClubInterval(CnfOrdinal(), omega_power(2), 3),
-        "ClubInterval(left=CnfOrdinal(terms=()), top=CnfOrdinal(terms=((2, 1),)), index=2)",
-    ),
-    (
-        lambda: check_csystem_axioms(2, 4),
-        CsystemReport(2, 4, 4, 4, 6, "covering fails"),
-        "CsystemReport(d=2, coeff_max=4, limits_checked=4, clubs_checked=4, pairs_checked=6, "
-        "first_violation=None)",
     ),
 ]
 

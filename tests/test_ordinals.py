@@ -1,28 +1,22 @@
 """Ordinal arithmetic, the interval club system, and derived colorings."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from connramsey.ordinals import (
-    ZERO,
     CnfOrdinal,
-    CsystemReport,
     acc_member,
-    block_tail,
     blockfloor,
-    check_csystem_axioms,
-    club_interval,
     coloring_from_csystem,
     derived_color,
-    enumerate_limits,
     i_min,
-    omega_power,
     ord_print,
     sample_universe,
-    successor,
 )
-from oracles import from_int, ord_parse
+from oracles import ZERO, csystem_violation, enumerate_limits, from_int, omega_power, ord_parse
 
 
 @st.composite
@@ -108,20 +102,16 @@ def test_blockfloor_and_tail():
     assert blockfloor(x, 2) == omega_power(2, 3)
     assert blockfloor(x, 1) == CnfOrdinal(((2, 3), (1, 1)))
     assert blockfloor(x, 3) == ZERO
-    assert block_tail(x, 2) == CnfOrdinal(((1, 1), (0, 5)))
+    assert x.terms[len(blockfloor(x, 2).terms) :] == ((1, 1), (0, 5))  # the tail
 
 
 @given(ordinals(), st.integers(0, 5))
 def test_blockfloor_decomposition(x, k):
-    # x splits exactly into the floor followed by the tail
-    assert blockfloor(x, k).terms + block_tail(x, k).terms == x.terms
+    # x splits exactly into the floor followed by a tail of exponents below k
+    floor = blockfloor(x, k).terms
+    assert x.terms[: len(floor)] == floor
+    assert all(e >= k for e, _ in floor) and all(e < k for e, _ in x.terms[len(floor) :])
     assert blockfloor(x, k) <= x
-
-
-def test_successor():
-    assert successor(ZERO) == from_int(1)
-    assert successor(from_int(4)) == from_int(5)
-    assert successor(W) == CnfOrdinal(((1, 1), (0, 1)))
 
 
 def test_acc_member_examples():
@@ -137,7 +127,7 @@ def test_acc_member_validation():
     with pytest.raises(ValueError, match="gamma < alpha"):
         acc_member(W2, W, 1)
     with pytest.raises(ValueError, match="limit"):
-        acc_member(W, successor(W2), 1)
+        acc_member(W, CnfOrdinal(((2, 1), (0, 1))), 1)
 
 
 def test_i_min_examples():
@@ -154,20 +144,20 @@ def test_i_min_equals_least_exponent():
 
 
 def test_club_interval_examples():
-    assert club_interval(W2, 2).left == ZERO
-    iv = club_interval(CnfOrdinal(((2, 1), (1, 1))), 1)
-    assert iv.left == W2
-    assert club_interval(omega_power(1, 3), 1).left == ZERO
-    with pytest.raises(ValueError, match="index floor"):
-        club_interval(W2, 1)
+    # The club C(alpha, i) is [blockfloor(alpha, i + 1), alpha).
+    assert blockfloor(W2, 3) == ZERO
+    assert blockfloor(CnfOrdinal(((2, 1), (1, 1))), 2) == W2
+    assert blockfloor(omega_power(1, 3), 2) == ZERO
+    # Below the index floor the club is empty.
+    assert blockfloor(W2, 2) == W2
 
 
 def test_club_interval_order_type_bound():
+    # The order type of C(alpha, i) is the terms of alpha with exponent <= i.
     for alpha in enumerate_limits(3, 3):
         for i in range(i_min(alpha), 4):
-            iv = club_interval(alpha, i)
-            assert iv.left < alpha
-            assert iv.order_type < omega_power(i + 1)
+            assert blockfloor(alpha, i + 1) < alpha
+            assert CnfOrdinal(t for t in alpha.terms if t[0] <= i) < omega_power(i + 1)
 
 
 def test_derived_color_examples():
@@ -215,18 +205,28 @@ def test_coloring_from_csystem_validation():
 
 
 def test_csystem_axioms_pass():
-    rep = check_csystem_axioms(2, 4)
-    assert rep.ok and rep.first_violation is None
-    assert rep.limits_checked == 4
-    assert not CsystemReport(*rep[:-1], "covering fails").ok
-    rep = check_csystem_axioms(3, 3)
-    assert rep.ok
-    assert rep.limits_checked == len(enumerate_limits(2, 3))
+    assert csystem_violation(2, 4) is None
+    assert csystem_violation(3, 3) is None
 
 
 def test_nesting_spot_case():
     alpha = ord_parse("w^2*1+w*2")
-    low = club_interval(alpha, 1)
-    high = club_interval(alpha, 2)
-    assert low.left == W2 and high.left == ZERO
-    assert high.left <= low.left  # containment of final segments
+    low = blockfloor(alpha, 2)  # left end of C(alpha, 1)
+    high = blockfloor(alpha, 3)  # left end of C(alpha, 2)
+    assert low == W2 and high == ZERO
+    assert high <= low  # containment of final segments
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("coeff_max", [1, 2, 4])
+@pytest.mark.parametrize("size", [1, 3, 14])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_universe_matches_the_pool_sample(d, coeff_max, size, seed):
+    # The index draw unranks the same limits as a draw from the whole pool.
+    pool = enumerate_limits(d, coeff_max)
+    if size > len(pool):
+        with pytest.raises(ValueError, match=f"only {len(pool)} distinct"):
+            sample_universe(d, coeff_max, size, seed)
+        return
+    expected = tuple(sorted(random.Random(seed).sample(pool, size)))
+    assert sample_universe(d, coeff_max, size, seed) == expected

@@ -53,19 +53,6 @@ def test_run_thresholds_reports_a_capped_cell_and_goes_on():
             assert "at_least" not in row and row["threshold"] is not None
 
 
-def test_club_axioms_report_finds_no_violation():
-    env = dict(os.environ, PYTHONPATH=str(Path(connramsey.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "club_axioms_report.py"),
-         "--max-d", "2", "--max-coeff", "2", "--sample-size", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    rows = [line for line in done.stdout.splitlines() if line.startswith("d=")]
-    assert len(rows) == 4
-    assert all(row.split(": ", 1)[1].startswith("ok ") for row in rows)
-
-
 @pytest.mark.parametrize("script, argv, message", [
     ("run_thresholds.py", ["--modes", "classical", "--min-m", "3", "--max-m", "5", "--max-n", "4"],
      "--max-n must be at least --max-m"),
@@ -73,7 +60,6 @@ def test_club_axioms_report_finds_no_violation():
     ("run_thresholds.py", ["--palette-size", "0"], "--palette-size must be at least 1"),
     ("run_thresholds.py", ["--min-m", "1"], "--min-m must be at least 2"),
     ("run_thresholds.py", ["--time-limit", "nan"], "--time-limit must be a number of seconds"),
-    ("club_axioms_report.py", ["--max-d", "0"], "need d >= 1"),
     ("run_thresholds.py", ["--min-m", "5", "--max-m", "4"], "--min-m must be at most --max-m"),
 ])
 def test_bad_parameter_exits_2_before_any_cell(script, argv, message):
